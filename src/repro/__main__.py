@@ -72,6 +72,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.lint:
         # Unrecognised flags belong to the linter (--graph-dump,
         # --protocol-dump, --budget, paths, ...), not the demo.
+        # reprolint: disable=IMP001 -- the demo CLI loads the linter only for --lint
         from repro.analysis.cli import main as lint_main
         return lint_main(extra)
     if extra:
@@ -135,7 +136,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _race_sweep() -> int:
+    # reprolint: disable=IMP001 -- the demo CLI loads the race tooling only for its sweep
     from repro.analysis.race import permutation_sweep
+    # reprolint: disable=IMP001 -- the demo CLI loads the race tooling only for its sweep
     from repro.analysis.scenarios import GOLDEN_SCENARIOS
     ok = True
     for name, scenario in GOLDEN_SCENARIOS.items():

@@ -640,6 +640,54 @@ class SwallowedExceptionRule(LintRule):
 
 
 # ----------------------------------------------------------------------
+# IMP001 — imports inside function bodies
+# ----------------------------------------------------------------------
+
+#: The lint and race tooling loads its passes on demand and never runs
+#: on a request path, so IMP001 leaves it alone.
+_LAZY_IMPORT_PREFIXES = ("repro.analysis",)
+
+
+def _function_body_imports(node: ast.AST, in_function: bool = False
+                           ) -> Iterator[ast.stmt]:
+    """Import statements anywhere under a function body, nested
+    ``def`` bodies included."""
+    for child in ast.iter_child_nodes(node):
+        if in_function and isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        yield from _function_body_imports(
+            child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+class FunctionImportRule(LintRule):
+    """IMP001: an ``import`` statement inside a function body.
+
+    A function-local import runs its lookup on every call.  On a
+    handler that sees every delivery or every request (a gateway
+    observing each Totem delivery, an ORB dispatching each message)
+    that is paid per message, for a value that never changes.  Imports
+    belong at module scope; the rare cold-path layering guard (a module
+    that must not load another at import time) carries a justified
+    suppression saying why.
+    """
+
+    code = "IMP001"
+    name = "function-import"
+    description = "import inside a function body"
+
+    def check(self, ctx: LintContext) -> Iterator[Violation]:
+        if (not ctx.module_in(("repro",))
+                or ctx.module_in(_LAZY_IMPORT_PREFIXES)):
+            return
+        for node in _function_body_imports(ctx.tree):
+            yield ctx.violation(
+                self.code,
+                "import inside a function body runs on every call; hoist "
+                "it to module scope or justify a suppression", node)
+
+
+# ----------------------------------------------------------------------
 # SM001 — state-machine dispatch exhaustiveness
 # ----------------------------------------------------------------------
 

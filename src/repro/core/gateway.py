@@ -38,18 +38,23 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..errors import ObjectNotExist, TransientError
-from ..iiop.giop import MsgType, decode_request, parse_header
+from ..eternal.messages import DomainMessage, MsgKind
+from ..eternal.naming import GATEWAY_GROUP, parse_object_key
+from ..eternal.styles import ReplicationStyle
+from ..iiop.giop import (LocateStatus, MsgType, decode_cancel_request,
+                         decode_locate_request, decode_request,
+                         encode_locate_reply, parse_header)
 from ..iiop.service_context import extract_client_id, extract_trace_context
 from ..orb.connection import IiopServerConnection
 from ..orb.dispatch import reply_for_exception
 from ..sim.host import Host, Process
 from ..sim.tcp import TcpEndpoint
+from ..sim.world import Promise
 from .duplicates import DuplicateSuppressor
 from .identifiers import ClientId, OperationId, external_operation_id
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..eternal.domain import FaultToleranceDomain
-    from ..eternal.messages import DomainMessage
 
 
 @dataclass
@@ -327,7 +332,6 @@ class Gateway(Process):
         zero client-visible failures (enhanced clients reconnect to the
         remaining profiles on their next invocation).
         """
-        from ..sim.world import Promise
         promise = Promise()
         if self._listener is not None:
             self._listener.close()
@@ -392,7 +396,6 @@ class Gateway(Process):
         original socket receipt time, so the latency histogram includes
         queueing delay.
         """
-        from ..eternal.naming import parse_object_key
         parsed = parse_object_key(request.object_key)
         info = None
         if parsed is not None and parsed[0] == self.domain.name:
@@ -538,8 +541,6 @@ class Gateway(Process):
             self._schedule_reap("oneway", cache_key, pending,
                                 self.oneway_ttl)
 
-        from ..eternal.messages import DomainMessage, MsgKind
-        from ..eternal.naming import GATEWAY_GROUP
         if self.mirror_requests:
             # Section 3.5: record the request group-wide before forwarding.
             data = {"target_group": target_group,
@@ -571,9 +572,6 @@ class Gateway(Process):
         """Answer ORB location probes: the gateway claims to *be* every
         object of its domain (the client must keep believing the
         endpoint in the IOR is the server — section 3.1)."""
-        from ..eternal.naming import parse_object_key
-        from ..iiop.giop import (LocateStatus, decode_locate_request,
-                                 encode_locate_reply)
         request_id, object_key = decode_locate_request(message)
         parsed = parse_object_key(object_key)
         here = (parsed is not None and parsed[0] == self.domain.name
@@ -598,7 +596,6 @@ class Gateway(Process):
         for the request so a late response is not written to the socket.
         The invocation may already have executed inside the domain (the
         CORBA spec makes no promise there, and neither does the paper)."""
-        from ..iiop.giop import decode_cancel_request
         cancelled_id = decode_cancel_request(message)
         client_id = self._conn_ids.get(connection)
         if client_id is None:
@@ -623,8 +620,6 @@ class Gateway(Process):
             self._release_admission(record)
 
     def _forward(self, pending: _PendingRequest) -> None:
-        from ..eternal.messages import DomainMessage, MsgKind
-        from ..eternal.naming import GATEWAY_GROUP
         self.stats["requests_forwarded"] += 1
         self._m_req_forwarded.inc()
         message = pending.forward_message
@@ -755,8 +750,6 @@ class Gateway(Process):
     def _broadcast_client_gone(self, client_id: ClientId) -> None:
         """Tell the other gateways the client is gone so they delete any
         state stored on its behalf (section 3.5)."""
-        from ..eternal.messages import DomainMessage, MsgKind
-        from ..eternal.naming import GATEWAY_GROUP
         self.rm.multicast(DomainMessage(
             kind=MsgKind.CLIENT_GONE,
             source_group=GATEWAY_GROUP,
@@ -781,8 +774,6 @@ class Gateway(Process):
     def observe_delivered(self, msg: "DomainMessage") -> None:
         """Called by the co-located Replication Mechanisms for every
         delivered message; the gateway reacts to the kinds it owns."""
-        from ..eternal.messages import MsgKind
-        from ..eternal.naming import GATEWAY_GROUP
         kind = msg.kind
         if kind is MsgKind.RESPONSE and msg.target_group == GATEWAY_GROUP:
             self._on_domain_response(msg)
@@ -965,7 +956,6 @@ class Gateway(Process):
         only one responder will speak from now on.  Relax them to a
         single vote and flush any response that already satisfies the
         relaxed requirement."""
-        from ..eternal.styles import ReplicationStyle
         data = msg.data or {}
         group_id = data.get("group_id")
         try:
@@ -1176,7 +1166,6 @@ class Gateway(Process):
     # ==================================================================
 
     def _live_gateway_hosts(self) -> List[str]:
-        from ..eternal.naming import GATEWAY_GROUP
         info = self.rm.registry.get(GATEWAY_GROUP)
         if info is None:
             return [self.host.name]

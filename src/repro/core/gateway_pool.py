@@ -39,6 +39,7 @@ collects the original response, never a re-execution.
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..iiop.ior import Ior
@@ -170,9 +171,15 @@ class GatewayPool:
         self.admission_queue_limit = admission_queue_limit
         self.virtual_nodes = virtual_nodes
         self.gateways: List[Gateway] = []
-        # Ring of (point, gateway) pairs, sorted by point; rebuilt only
-        # when membership changes (never per request).
+        # Ring of (point, gateway) pairs, sorted by point, with its bare
+        # points alongside for bisection; both rebuilt only when
+        # membership changes (never per request).
         self._ring: List[Tuple[int, Gateway]] = []
+        self._points: List[int] = []
+        # Walk memo: ring start index -> distinct gateways in ring order
+        # from there.  At most one entry per virtual node, dropped on
+        # every rebuild.
+        self._walks: Dict[int, Tuple[Gateway, ...]] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._breaker_config = (failure_threshold, reset_timeout,
                                 probe_quota, close_after)
@@ -249,6 +256,8 @@ class GatewayPool:
         # deterministic host name, never on object identity.
         ring.sort(key=lambda pair: (pair[0], pair[1].host.name))
         self._ring = ring
+        self._points = [point for point, _ in ring]
+        self._walks = {}
 
     # ------------------------------------------------------------------
     # Availability and breaker feedback
@@ -301,26 +310,31 @@ class GatewayPool:
     # Routing
     # ------------------------------------------------------------------
 
-    def _ring_walk(self, key: str) -> List[Gateway]:
+    def _ring_walk(self, key: str) -> Tuple[Gateway, ...]:
         """All distinct gateways in ring order from ``key``'s position;
-        the first entry is the key's hash owner."""
-        ring = self._ring
-        if not ring:
-            return []
-        point = ring_hash(key)
-        # Binary search would be O(log n); the ring is tiny (pools of
-        # 1-16 gateways) and rebuilds are rare, so a scan keeps it
-        # simple and allocation-free.
-        start = 0
-        for i, (node_point, _) in enumerate(ring):
-            if node_point >= point:
-                start = i
-                break
-        walk: List[Gateway] = []
-        for i in range(len(ring)):
-            gateway = ring[(start + i) % len(ring)][1]
-            if gateway not in walk:
-                walk.append(gateway)
+        the first entry is the key's hash owner.
+
+        The owner is the first virtual node at or after the key's point
+        (``bisect_left``), wrapping to index 0 past the largest point.
+        The walk from a given start index is fixed until the next
+        membership change, so it is computed once and memoised; it is a
+        tuple, so no caller can alter what later calls see.
+        """
+        points = self._points
+        if not points:
+            return ()
+        start = bisect_left(points, ring_hash(key))
+        if start == len(points):
+            start = 0
+        walk = self._walks.get(start)
+        if walk is None:
+            ring = self._ring
+            ordered: List[Gateway] = []
+            for i in range(len(ring)):
+                gateway = ring[(start + i) % len(ring)][1]
+                if gateway not in ordered:
+                    ordered.append(gateway)
+            walk = self._walks[start] = tuple(ordered)
         return walk
 
     def hash_owner(self, key: str) -> Optional[Gateway]:
@@ -449,6 +463,14 @@ class GatewayPool:
         scope.register("pool.breakers", lambda: len(self._breakers),
                        floor=lambda: len(self.gateways), owner=owner,
                        gauge="pool.state.breakers")
+        # Lookup-side copies of the ring: the bisection points match it
+        # one for one, and the walk memo holds at most one walk per
+        # virtual node.
+        scope.register("pool.ring_points", lambda: len(self._points),
+                       floor=lambda: len(self.gateways) * self.virtual_nodes,
+                       owner=owner)
+        scope.register("pool.ring_walks", lambda: len(self._walks),
+                       floor=lambda: len(self._ring), owner=owner)
 
     def describe(self) -> Dict[str, Any]:
         """Deterministic snapshot for tests and bench extra_info."""

@@ -17,7 +17,7 @@ import itertools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..errors import ConfigurationError, TransientError
-from ..iiop.ior import Ior
+from ..iiop.ior import Ior, stitch_profiles
 from ..orb.idl import Interface
 from ..orb.servant import Servant
 from ..sim.host import Host
@@ -39,6 +39,7 @@ from .naming import (
     FIRST_APPLICATION_GROUP,
     GATEWAY_GROUP,
     REPLICATION_MANAGER_GROUP,
+    make_object_key,
 )
 from .properties import FaultToleranceProperties
 from .registry import GroupInfo
@@ -181,8 +182,6 @@ class FaultToleranceDomain:
             # A domain without gateways publishes a reference that only
             # in-domain callers can use; encode it with a placeholder
             # endpoint so the group id still travels in the object key.
-            from ..iiop.ior import stitch_profiles
-            from .naming import make_object_key
             return stitch_profiles(type_id, [("unroutable", 0)],
                                    make_object_key(self.name, group_id)
                                    ).to_string()
@@ -206,6 +205,7 @@ class FaultToleranceDomain:
         already known) is bound under its name, so external clients can
         bootstrap from the naming service's IOR alone.
         """
+        # reprolint: disable=IMP001 -- layering: the infrastructure loads an application servant only when a naming service is asked for
         from ..apps.naming import NAMING_INTERFACE, NamingServant
         if self._naming is not None:
             return self._naming
@@ -235,7 +235,8 @@ class FaultToleranceDomain:
         Gateway` (admission window/queue limits, TTLs, cache size) —
         the gateway-pool seam.
         """
-        from ..core.gateway import Gateway  # local import: layering
+        # reprolint: disable=IMP001 -- layering: core.gateway imports repro.eternal at module scope, so the domain loads it on first use
+        from ..core.gateway import Gateway
         host_name = host_name or f"{self.name}-gw{len(self.gateways)}"
         host = self._add_processor(host_name, replica_host=False)
         gateway = Gateway(self, host, port, mirror_requests=mirror_requests,
@@ -359,7 +360,6 @@ class FaultToleranceDomain:
         ``groups`` restricts adaptation to the given groups; ``None``
         adapts every application group.  Returns the managers by host.
         """
-        from .managers import StyleManager
         group_ids = (None if groups is None
                      else [self.resolve(g).group_id for g in groups])
         managers: Dict[str, StyleManager] = {}

@@ -30,20 +30,20 @@ from typing import Callable, Dict, List, Sequence, Tuple, TYPE_CHECKING
 
 from dataclasses import replace as dc_replace
 
-from ..errors import InvocationFailure
+from ..errors import ConfigurationError, InvocationFailure
 from ..iiop.types import TC_LONG, TC_STRING, TC_VOID
 from ..orb.idl import Interface, Operation, Param
 from ..orb.servant import Servant
 from ..sim.world import Promise
 from .messages import DomainMessage, MsgKind
 from .naming import FIRST_APPLICATION_GROUP
+from .properties import FaultToleranceProperties
 from .registry import GroupInfo
-from .styles import ReplicationStyle
+from .styles import ReplicationStyle, StylePolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .domain import FaultToleranceDomain
     from .replication import ReplicationMechanisms
-    from .styles import StylePolicy
 
 
 REPLICATION_MANAGER_INTERFACE = Interface("EternalReplicationManager", [
@@ -118,8 +118,6 @@ class ReplicationManagerServant(Servant):
                                       factory_name: str,
                                       properties_json: str) -> str:
         """FT-CORBA flavoured creation: org.omg.ft.* property map."""
-        from ..errors import ConfigurationError
-        from .properties import FaultToleranceProperties
         try:
             raw = json.loads(properties_json)
             if not isinstance(raw, dict):
@@ -293,7 +291,6 @@ class StyleManager:
                  policy: "StylePolicy" = None,
                  groups: Sequence[int] = None,
                  tick_interval: float = 0.25) -> None:
-        from .styles import StylePolicy
         self.rm = rm
         self.policy = policy if policy is not None else StylePolicy()
         self.groups = None if groups is None else set(groups)

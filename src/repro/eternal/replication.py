@@ -28,6 +28,7 @@ receiver sets to the same value.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -1322,7 +1323,6 @@ def _call_factory(factory: Callable[..., Servant],
     """Invoke a servant factory, passing the local Replication Mechanisms
     when the factory declares a parameter for it (manager servants need
     access to the local registry; plain application factories do not)."""
-    import inspect
     try:
         params = inspect.signature(factory).parameters.values()
         takes_rm = any(

@@ -225,7 +225,8 @@ def decode_locate_reply(message: bytes) -> Tuple[int, int]:
 def decode_locate_forward(message: bytes):
     """Decode the forwarding IOR from an ``OBJECT_FORWARD`` LocateReply;
     ``None`` when the reply carries another status (or no body)."""
-    from .ior import Ior  # giop does not depend on ior at import time
+    # reprolint: disable=IMP001 -- layering: giop does not depend on ior at import time; only re-homed plain-ORB clients decode a forward
+    from .ior import Ior
     message_type, little_endian, size = parse_header(message)
     if message_type != MsgType.LOCATE_REPLY:
         raise MarshalError(f"not a LocateReply (type {message_type})")

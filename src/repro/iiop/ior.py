@@ -16,19 +16,34 @@ endpoint.  Two paper mechanisms live here:
 ``IOR:`` stringification uses the standard hex-of-CDR-encapsulation
 form, so references can be passed around as opaque strings exactly as
 CORBA applications do.
+
+A domain publishes only a handful of distinct profiles (one per gateway
+per object group), while references are handed out per client and
+requests are sent per invocation.  Profiles are immutable values, so
+:meth:`IiopProfile.encode` and :meth:`IiopProfile.decode` memoise them
+in bounded tables: each distinct profile is marshalled once.  A failed
+decode raises before anything is stored, so malformed bytes fail on
+every call.
 """
 
 from __future__ import annotations
 
 import binascii
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, TypeVar
 
 from ..errors import MarshalError
 from .cdr import CdrInputStream, CdrOutputStream, decapsulate, encapsulate
 
 TAG_INTERNET_IOP = 0
 TAG_MULTIPLE_COMPONENTS = 1
+
+#: Entry cap of each profile memo table; the oldest entry is evicted
+#: first once a table is full.
+PROFILE_MEMO_CAP = 1024
+
+_K = TypeVar("_K")
+_V = TypeVar("_V")
 
 
 @dataclass(frozen=True)
@@ -42,6 +57,9 @@ class IiopProfile:
 
     def encode(self) -> bytes:
         """Encode as the CDR encapsulation body of a TAG_INTERNET_IOP."""
+        data = _encoded.get(self)
+        if data is not None:
+            return data
 
         def build(out: CdrOutputStream) -> None:
             out.write_octet(self.version[0])
@@ -50,22 +68,40 @@ class IiopProfile:
             out.write_ushort(self.port)
             out.write_octets(self.object_key)
 
-        return encapsulate(build)
+        data = encapsulate(build)
+        _remember(_encoded, self, data)
+        return data
 
     @staticmethod
     def decode(data: bytes) -> "IiopProfile":
+        profile = _decoded.get(data)
+        if profile is not None:
+            return profile
         stream = decapsulate(data)
         major = stream.read_octet()
         minor = stream.read_octet()
         host = stream.read_string()
         port = stream.read_ushort()
         object_key = stream.read_octets()
-        return IiopProfile(host=host, port=port, object_key=object_key,
-                           version=(major, minor))
+        profile = IiopProfile(host=host, port=port, object_key=object_key,
+                              version=(major, minor))
+        _remember(_decoded, data, profile)
+        return profile
 
     @property
     def address(self) -> Tuple[str, int]:
         return (self.host, self.port)
+
+
+_encoded: Dict[IiopProfile, bytes] = {}
+_decoded: Dict[bytes, IiopProfile] = {}
+
+
+def _remember(table: Dict[_K, _V], key: _K, value: _V) -> None:
+    """Store one memo entry, evicting the oldest if at the cap."""
+    if len(table) >= PROFILE_MEMO_CAP:
+        del table[next(iter(table))]
+    table[key] = value
 
 
 @dataclass(frozen=True)
@@ -102,11 +138,12 @@ class Ior:
                 if p.tag == TAG_INTERNET_IOP]
 
     def primary_profile(self) -> IiopProfile:
-        """The first IIOP profile — all a non-enhanced ORB ever uses."""
-        profiles = self.iiop_profiles()
-        if not profiles:
-            raise MarshalError(f"IOR for {self.type_id} has no IIOP profile")
-        return profiles[0]
+        """The first IIOP profile — all a non-enhanced ORB ever uses.
+        Only that profile is decoded."""
+        for profile in self.profiles:
+            if profile.tag == TAG_INTERNET_IOP:
+                return IiopProfile.decode(profile.data)
+        raise MarshalError(f"IOR for {self.type_id} has no IIOP profile")
 
     # -- wire form ---------------------------------------------------------
 

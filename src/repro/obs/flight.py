@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
+from .export import canonical_json
 from .metrics import ClockFn, _validate_name
 
 FLIGHT_SCHEMA_VERSION = 1
@@ -86,5 +87,4 @@ class FlightRecorder:
         }
 
     def dump_json(self) -> str:
-        from .export import canonical_json
         return canonical_json(self.dump())

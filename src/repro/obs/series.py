@@ -42,6 +42,7 @@ from typing import (Any, Callable, Deque, Dict, List, Optional, TYPE_CHECKING,
                     Tuple)
 
 from ..errors import ConfigurationError
+from .export import canonical_json
 from .metrics import ClockFn, Histogram, _validate_name
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -446,7 +447,6 @@ class SeriesRegistry:
         }
 
     def to_json(self, now: Optional[float] = None) -> str:
-        from .export import canonical_json
         return canonical_json(self.snapshot(now))
 
     def last_values(self) -> List[Tuple[str, LabelItems, float]]:

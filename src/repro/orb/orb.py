@@ -22,11 +22,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CommFailure, ConfigurationError, NoResponse, ObjectNotExist
 from ..iiop.giop import (
+    MsgType,
     RequestMessage,
     ServiceContext,
+    decode_request,
     encode_request,
+    parse_header,
 )
-from ..iiop.ior import Ior
+from ..iiop.ior import IiopProfile, Ior
 from ..sim.host import Host, Process
 from ..sim.tcp import TcpEndpoint, TcpStack
 from ..sim.world import Promise, World
@@ -94,7 +97,7 @@ class PlainRequester(Requester):
 
     def send(self, stub: "Stub", op: Operation, request: RequestMessage,
              encoded: bytes, promise: Promise) -> None:
-        address = stub.ior.primary_profile().address
+        address = stub.primary_profile().address
         connection = self.orb.connection_to(address)
         if op.oneway:
             try:
@@ -122,9 +125,23 @@ class Stub:
     def __init__(self, orb: "Orb", ior: Ior, interface: Interface,
                  requester: Optional[Requester] = None) -> None:
         self.orb = orb
-        self.ior = ior
+        self._ior = ior
+        self._primary: Optional[IiopProfile] = None
         self.interface = interface
         self.requester = requester or orb.default_requester
+
+    @property
+    def ior(self) -> Ior:
+        """The reference this stub was bound to (fixed for its life)."""
+        return self._ior
+
+    def primary_profile(self) -> IiopProfile:
+        """The reference's first IIOP profile, resolved on first use and
+        then reused by every request: its object key goes into each
+        request and its address is where a plain ORB connects."""
+        if self._primary is None:
+            self._primary = self._ior.primary_profile()
+        return self._primary
 
     def invoke(self, operation: str, args: Sequence[Any] = (),
                timeout: Optional[float] = None) -> Promise:
@@ -135,7 +152,7 @@ class Stub:
         request = RequestMessage(
             request_id=request_id,
             response_expected=not op.oneway,
-            object_key=self.ior.primary_profile().object_key,
+            object_key=self.primary_profile().object_key,
             operation=op.name,
             service_contexts=self.requester.service_contexts(request_id),
             body=encode_arguments(op, args),
@@ -246,7 +263,6 @@ class Orb(Process):
 
     def _handle_message(self, message: bytes,
                         connection: IiopServerConnection) -> None:
-        from ..iiop.giop import MsgType, decode_request, parse_header
         message_type, _, _ = parse_header(message)
         if message_type != MsgType.REQUEST:
             return

@@ -21,7 +21,7 @@ from .faults import FaultInjector
 from .host import Host
 from .network import LatencyModel, Network
 from .reference_scheduler import ReferenceScheduler
-from .scheduler import Scheduler
+from .scheduler import _COMPACT_MIN_QUEUE, Scheduler
 from .tcp import TcpStack
 from .trace import Tracer
 
@@ -177,7 +177,6 @@ class World:
         below half the queue (or below the compaction threshold for
         small queues).
         """
-        from .scheduler import _COMPACT_MIN_QUEUE
         sched = self.scheduler
         self.audit_scope.register(
             "sched.queue", lambda: sched.pending_events, floor=None,

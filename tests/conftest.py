@@ -7,6 +7,9 @@ import re
 import pytest
 
 from repro import World
+from repro.analysis.lint import Baseline, default_config, lint_paths
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -15,6 +18,17 @@ def world():
     # metrics), so arming it for every test changes nothing about the
     # run; on failure the hook below dumps the black box post-mortem.
     return World(seed=1234, flight=True)
+
+
+@pytest.fixture(scope="session")
+def src_lint():
+    """One whole-program reprolint run over ``src/`` against the
+    committed baseline, shared by every test that inspects the real
+    tree (a full run parses every file and builds the call graph)."""
+    return lint_paths(
+        [REPO_ROOT / "src"], config=default_config(REPO_ROOT),
+        baseline=Baseline.load(REPO_ROOT / "tools" / "reprolint_baseline.json"),
+        root=REPO_ROOT)
 
 
 @pytest.hookimpl(hookwrapper=True)

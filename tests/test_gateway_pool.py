@@ -9,9 +9,15 @@ exactly-once guarantees the farm inherits from request mirroring and
 duplicate suppression.
 """
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import CircuitBreaker, FtClientLayer, GatewayPool, Orb
+from repro.core import gateway_pool
+from repro.core.gateway_pool import ring_hash
 from repro.eternal.naming import make_object_key
 from repro.iiop import (
     GiopFramer,
@@ -19,7 +25,9 @@ from repro.iiop import (
     decode_locate_forward,
     decode_locate_reply,
     encode_locate_request,
+    stitch_profiles,
 )
+from repro.iiop import ior as ior_module
 
 from tests.helpers import (
     crash_gateway_on_response,
@@ -136,6 +144,90 @@ def test_ring_rebalances_a_minority_of_keys(world):
     assert 0 < moved < len(keys) // 2
 
 
+def reference_walk(ring, key):
+    """The original linear scan: first virtual node at or after the
+    key's point (index 0 past the largest), then every distinct gateway
+    in ring order from there."""
+    if not ring:
+        return []
+    point = gateway_pool.ring_hash(key)
+    start = 0
+    for i, (node_point, _) in enumerate(ring):
+        if node_point >= point:
+            start = i
+            break
+    walk = []
+    for i in range(len(ring)):
+        gateway = ring[(start + i) % len(ring)][1]
+        if gateway not in walk:
+            walk.append(gateway)
+    return walk
+
+
+def wrap_keys(pool, count):
+    """Keys hashing above the ring's largest point (owner wraps to 0),
+    from a bounded search."""
+    top = pool._ring[-1][0]
+    return list(itertools.islice(
+        (key for key in (f"wrap/{i}" for i in range(20000))
+         if gateway_pool.ring_hash(key) > top), count))
+
+
+def check_walks_match_scan(pool):
+    """Property check: the bisect + memo walk equals the linear scan for
+    arbitrary keys, keys landing exactly on virtual nodes, and keys
+    that wrap around."""
+    vnode_keys = [f"{gw.host.name}#{v}" for gw in pool.gateways
+                  for v in range(pool.virtual_nodes)]
+    keys = st.one_of(st.text(max_size=24), st.sampled_from(vnode_keys))
+    wrapping = wrap_keys(pool, 4)
+    if wrapping:
+        keys = keys | st.sampled_from(wrapping)
+
+    @settings(max_examples=150, deadline=None)
+    @given(keys)
+    def check(key):
+        expected = reference_walk(pool._ring, key)
+        assert list(pool._ring_walk(key)) == expected
+        assert pool.hash_owner(key) is expected[0]
+
+    check()
+
+
+def test_ring_walk_matches_linear_scan(world):
+    domain, pool = make_pool(world, size=3)
+    assert wrap_keys(pool, 4)
+    check_walks_match_scan(pool)
+    # Rings rebuilt by membership changes, through both entry points.
+    pool.add_gateway()
+    check_walks_match_scan(pool)
+    pool.adopt(domain.add_gateway(port=2809))
+    assert len(pool.gateways) == 5
+    check_walks_match_scan(pool)
+
+
+def test_ring_walk_ties_break_on_host_name(world, monkeypatch):
+    # A coarse hash makes virtual nodes collide often, so the order
+    # among equal points (host name) decides owners and walks.
+    _, pool = make_pool(world, size=4)
+    monkeypatch.setattr(gateway_pool, "ring_hash",
+                        lambda key: ring_hash(key) % 251)
+    pool._rebuild_ring()
+    points = [point for point, _ in pool._ring]
+    assert len(set(points)) < len(points)
+    check_walks_match_scan(pool)
+
+
+def test_a_returned_walk_cannot_alter_the_next_one(world):
+    _, pool = make_pool(world, size=3)
+    walk = pool._ring_walk("alice#1")
+    expected = list(walk)
+    with pytest.raises((AttributeError, TypeError)):
+        walk.append(walk[0])
+    assert list(pool._ring_walk("alice#1")) == expected
+    assert len(pool._walks) <= len(pool._ring)
+
+
 def test_route_prefers_the_hash_owner(world):
     _, pool = make_pool(world, size=3)
     key = "client/route#1"
@@ -220,6 +312,25 @@ def test_pool_ior_walks_the_ring_from_the_owner(world):
     owner = pool.hash_owner(key)
     assert profiles[0] == (owner.host.name, owner.port)
     assert len(set(profiles)) == 3    # every gateway appears exactly once
+
+
+def test_pool_ior_matches_a_from_scratch_stitch(world):
+    """The memoised profiles marshal to exactly the bytes a fresh
+    stitch of the same walk produces."""
+    domain, pool = make_pool(world, size=3)
+    group = make_counter_group(domain)
+    domain.await_ready(group)
+    handle = domain.resolve(group)
+    for key in ("alice#1", "bob#1", "alice#1"):
+        issued = pool.ior_for(group, key).to_string()
+        ior_module._encoded.clear()
+        ior_module._decoded.clear()
+        fresh = stitch_profiles(
+            handle.interface.repo_id,
+            [(gw.host.name, gw.port) for gw in reference_walk(pool._ring,
+                                                                key)],
+            make_object_key(domain.name, handle.group_id))
+        assert issued == fresh.to_string()
 
 
 def test_enhanced_client_fails_over_to_ring_sibling_exactly_once(world):

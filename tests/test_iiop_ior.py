@@ -12,6 +12,8 @@ from repro.iiop import (
     replace_addresses,
     stitch_profiles,
 )
+from repro.iiop import ior as ior_module
+from repro.iiop.ior import TAG_MULTIPLE_COMPONENTS, TaggedProfile
 
 host_names = st.from_regex(r"[a-z][a-z0-9\-]{0,20}", fullmatch=True)
 ports = st.integers(min_value=1, max_value=65535)
@@ -113,3 +115,63 @@ def test_replace_addresses_property(endpoints, new_host, new_port):
     assert all(p.address == (new_host, new_port)
                for p in rewritten.iiop_profiles())
     assert len(rewritten.profiles) == len(ior.profiles)
+
+
+# ----------------------------------------------------------------------
+# Profile memo: each distinct profile is marshalled once
+# ----------------------------------------------------------------------
+
+def test_profile_memo_stays_within_its_cap(monkeypatch):
+    monkeypatch.setattr(ior_module, "PROFILE_MEMO_CAP", 8)
+    monkeypatch.setattr(ior_module, "_encoded", {})
+    monkeypatch.setattr(ior_module, "_decoded", {})
+    profiles = [IiopProfile(f"gw{i}", 2809, b"key") for i in range(40)]
+    for profile in profiles:
+        data = profile.encode()
+        assert IiopProfile.decode(data) == profile
+        assert len(ior_module._encoded) <= 8
+        assert len(ior_module._decoded) <= 8
+    # Evicted entries are simply marshalled again, to the same bytes.
+    fresh = IiopProfile("gw0", 2809, b"key")
+    assert fresh.encode() == profiles[0].encode()
+    assert IiopProfile.decode(fresh.encode()) == fresh
+
+
+def test_profile_memo_returns_the_first_marshalling():
+    profile = IiopProfile("gw.example.com", 2809, b"ftdomain/ny/10")
+    data = profile.encode()
+    assert IiopProfile("gw.example.com", 2809, b"ftdomain/ny/10").encode() \
+        is data
+    assert IiopProfile.decode(bytes(data)) is IiopProfile.decode(data)
+
+
+@pytest.mark.parametrize("data", [
+    b"",
+    b"\x00\x01",
+    IiopProfile("gw", 2809, b"key").encode()[:-2],
+])
+def test_malformed_profile_fails_on_every_call(data):
+    for _ in range(3):
+        with pytest.raises(MarshalError):
+            IiopProfile.decode(data)
+    assert data not in ior_module._decoded
+
+
+def test_primary_profile_skips_non_iiop_and_decodes_only_the_first():
+    good = IiopProfile("gw0", 2809, b"key").encode()
+    ior = Ior(type_id="IDL:x:1.0", profiles=[
+        TaggedProfile(TAG_MULTIPLE_COMPONENTS, b"opaque"),
+        TaggedProfile(TAG_INTERNET_IOP, good),
+        TaggedProfile(TAG_INTERNET_IOP, b"\x00\x01"),
+    ])
+    assert ior.primary_profile().address == ("gw0", 2809)
+    with pytest.raises(MarshalError):
+        ior.iiop_profiles()
+
+
+def test_primary_profile_requires_an_iiop_profile_among_others():
+    ior = Ior(type_id="IDL:x:1.0", profiles=[
+        TaggedProfile(TAG_MULTIPLE_COMPONENTS, b"opaque")])
+    for _ in range(2):
+        with pytest.raises(MarshalError):
+            ior.primary_profile()

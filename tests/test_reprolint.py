@@ -11,22 +11,14 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.analysis.lint import Baseline, default_config, lint_paths
 from repro.analysis.reporters import json_report, regenerate_baseline
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-SRC = REPO_ROOT / "src"
 BASELINE_PATH = REPO_ROOT / "tools" / "reprolint_baseline.json"
 
 
-def run_lint():
-    return lint_paths([SRC], config=default_config(REPO_ROOT),
-                      baseline=Baseline.load(BASELINE_PATH),
-                      root=REPO_ROOT)
-
-
-def test_src_is_lint_clean():
-    result = run_lint()
+def test_src_is_lint_clean(src_lint):
+    result = src_lint
     assert result.parse_errors == []
     assert result.violations == [], "\n".join(
         v.describe() for v in result.violations)
@@ -44,20 +36,19 @@ def test_committed_baseline_is_empty():
     assert data == {"schema": 1, "fingerprints": []}
 
 
-def test_baseline_regeneration_reproduces_the_committed_file():
+def test_baseline_regeneration_reproduces_the_committed_file(src_lint):
     """--write-baseline over a clean tree must write exactly the
     committed (empty) baseline — fingerprints are deterministic."""
-    result = run_lint()
-    regenerated = regenerate_baseline(result)
+    regenerated = regenerate_baseline(src_lint)
     assert json.loads(regenerated.to_json()) == json.loads(
         BASELINE_PATH.read_text(encoding="utf-8"))
 
 
-def test_json_report_accounts_for_every_suppression():
+def test_json_report_accounts_for_every_suppression(src_lint):
     """The machine report must carry each justified suppression with
     the violation it hides, so 'suppression-first cleanliness' is
     auditable from the CI artifact alone."""
-    report = json_report(run_lint())
+    report = json_report(src_lint)
     assert report["ok"] is True
     assert report["violations"] == []
     assert report["schema"] == 1
@@ -70,7 +61,8 @@ def test_json_report_accounts_for_every_suppression():
     # The known exception classes, and only those, are suppressed:
     # determinism boundaries (DET001/DET004), audited-by-design
     # collections (AUD001), client-side / header-only GIOP codecs
-    # (FLOW002/FLOW003), and the one sanctioned swallow (EXC001).
+    # (FLOW002/FLOW003), the one sanctioned swallow (EXC001), and
+    # cold-path layering imports (IMP001).
     codes = {code for entry in suppressions for code in entry["codes"]}
     assert codes <= {"DET001", "DET004", "AUD001",
-                     "FLOW002", "FLOW003", "EXC001"}
+                     "FLOW002", "FLOW003", "EXC001", "IMP001"}

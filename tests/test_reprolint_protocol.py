@@ -10,18 +10,12 @@ fails here even before the FLOW rules anchor a violation.
 
 from __future__ import annotations
 
-import pathlib
-
 import pytest
 
 from repro.analysis.callgraph import _module_in, build_callgraph
-from repro.analysis.lint import (DETERMINISTIC_PREFIXES, default_config,
-                                 lint_paths)
+from repro.analysis.lint import DETERMINISTIC_PREFIXES
 from repro.analysis.protocol import (build_protocol_surface,
                                      render_protocol_json)
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-SRC = REPO_ROOT / "src"
 
 MSG_KINDS = {
     "INVOCATION", "RESPONSE", "GROUP_ANNOUNCE", "GROUP_REMOVE",
@@ -53,11 +47,9 @@ CODEC_TABLE = {
 
 
 @pytest.fixture(scope="module")
-def project():
-    result = lint_paths([SRC], config=default_config(REPO_ROOT),
-                        root=REPO_ROOT)
-    assert result.project is not None
-    return result.project
+def project(src_lint):
+    assert src_lint.project is not None
+    return src_lint.project
 
 
 def test_every_msg_kind_is_sent_and_dispatched(project):

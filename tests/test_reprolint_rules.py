@@ -39,6 +39,7 @@ def codes(result):
     ("OBS001", "obs001_bad.py", "obs001_good.py"),
     ("AUD001", "aud001_bad.py", "aud001_good.py"),
     ("EXC001", "exc001_bad.py", "exc001_good.py"),
+    ("IMP001", "imp001_bad.py", "imp001_good.py"),
     ("SM001", "sm001_bad.py", "sm001_good.py"),
     ("FLOW001", "flow001_bad.py", "flow001_good.py"),
     ("FLOW002", "flow002_bad.py", "flow002_good.py"),
@@ -74,6 +75,8 @@ def test_bad_fixtures_flag_every_offending_construct():
     assert not any("_pending" in m for m in flagged)
     exc1 = lint_fixture("exc001_bad.py")
     assert len([v for v in exc1.violations if v.code == "EXC001"]) == 2
+    imp1 = lint_fixture("imp001_bad.py")
+    assert len([v for v in imp1.violations if v.code == "IMP001"]) == 3
     sm1 = lint_fixture("sm001_bad.py")
     flagged = {v.message for v in sm1.violations if v.code == "SM001"}
     assert any("`Phase` misses OPERATIONAL" in m for m in flagged)
@@ -107,6 +110,17 @@ def test_rules_scope_to_their_packages():
                     config=CONFIG))
     assert "SIM001" not in codes(
         lint_source(blocking.format(module="repro.obs.fake"),
+                    config=CONFIG))
+    # IMP001 covers every repro package except the lint/race tooling,
+    # which loads its passes on demand.
+    lazy = ("# reprolint: module={module}\n\n\n"
+            "def load():\n"
+            "    from json import loads\n"
+            "    return loads\n")
+    assert "IMP001" in codes(
+        lint_source(lazy.format(module="repro.obs.fake"), config=CONFIG))
+    assert "IMP001" not in codes(
+        lint_source(lazy.format(module="repro.analysis.fake"),
                     config=CONFIG))
 
 
