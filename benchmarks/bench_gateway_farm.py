@@ -8,7 +8,7 @@ windows, and circuit breakers.  The workload is the farm open loop of
 client (unique ``uid#incarnation``), 10^5 of them multiplexed over a
 handful of client hosts and pooled TCP connections, with the whole
 seeded arrival schedule injected through ``Scheduler.post_batch``
-cohorts.
+(one call per same-time arrival cohort).
 
 Two benches:
 
@@ -109,6 +109,7 @@ def run_farm(pool_size, arrivals, interarrival="exponential",
     row = {
         "pool_size": pool_size,
         "arrivals": arrivals,
+        "events_processed": world.scheduler.events_processed,
         "served": served,
         "shed": result["shed"],
         "failed": result["failed"],
@@ -152,8 +153,8 @@ def test_farm_100k_single_gateway(benchmark):
     # over a handful of pooled TCP connections.
     assert row["logical_clients"] == FARM_ARRIVALS
     assert row["client_connections"] == CLIENT_HOSTS
-    # The bulk paths actually carried the load (satellite: post_batch
-    # adoption at the arrival injector and the Totem delivery fan-out).
+    # The batched paths actually carried the load (post_batch at the
+    # arrival injector and at the Totem delivery fan-out).
     assert row["batched_posts"] > 0
     assert row["batched_deliveries"] > 0
     benchmark.extra_info.update(row)
@@ -179,6 +180,6 @@ def test_farm_scaling_curve(benchmark):
             {f"k{k}_{field}": row[field]
              for field in ("served", "shed", "shed_rate", "unroutable_rate",
                            "completion_span_s", "sustained_tput_per_s",
-                           "lat_p95_s")})
+                           "lat_p95_s", "events_processed")})
     benchmark.extra_info["speedup_4v1"] = round(tput[4] / tput[1], 3)
     benchmark.extra_info["speedup_8v1"] = round(tput[8] / tput[1], 3)

@@ -69,6 +69,7 @@ def run_clients(num_clients, trace_spans=False, series=False):
         "responses_delivered": gateway.stats["responses_delivered"],
         "responses_unroutable": gateway.stats["responses_unroutable"],
         "serializable": results == list(range(1, len(promises) + 1)),
+        "events_processed": world.scheduler.events_processed,
     }
 
 

@@ -25,14 +25,13 @@ Three pieces:
   That is exactly the set of orderings a real LAN could produce.
 * :class:`RaceScheduler` — a scheduler that extracts each same-time
   cohort before firing it, records the collision, and applies the
-  permuter.  It subclasses the pre-overhaul binary-heap kernel
-  (:class:`~repro.sim.reference_scheduler.ReferenceScheduler`), whose
-  single sorted queue makes cohort extraction trivial; the twin-kernel
-  differential harness (``tests/test_scheduler_differential.py``)
-  proves that kernel order-identical to the production calendar-queue
-  scheduler, so sweep verdicts transfer.  With no permuter it replays
-  the identity order and is observationally equivalent to the base
-  scheduler (the only divergence channel is the *host-side*
+  permuter.  It subclasses the simulation's own binary-heap kernel
+  (:class:`~repro.sim.scheduler.Scheduler`), whose single sorted queue
+  makes cohort extraction trivial and keeps the same loop contracts
+  (re-entry guard, strict event budget, non-consuming timeout).  With
+  no permuter it replays the identity order and is observationally
+  equivalent to the base scheduler (the only divergence channel is the
+  *host-side*
   ``sched.queue.compactions`` hygiene counter, whose trigger reads
   transient queue depth; :func:`drop_metric_series` normalises it
   away before comparison).
@@ -55,11 +54,10 @@ from typing import (Any, Callable, Deque, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from ..errors import SimulationError
-from ..sim.reference_scheduler import ReferenceScheduler, ReferenceTimer
-from ..sim.world import SchedulerLike
+from ..sim.scheduler import Scheduler, Timer
 
-QueueEntry = Tuple[float, Any, ReferenceTimer]
-ScenarioFn = Callable[[Optional[SchedulerLike]], Mapping[str, str]]
+QueueEntry = Tuple[float, Any, Timer]
+ScenarioFn = Callable[[Optional[Scheduler]], Mapping[str, str]]
 
 #: Host-side hygiene series whose trigger reads transient queue depth;
 #: excluded from sweep comparisons (it is not simulation-visible).
@@ -94,13 +92,13 @@ EFFORT_SERIES: Tuple[str, ...] = (
 EFFORT_ARTIFACT_PREFIX = "effort:"
 
 
-def _label(timer: ReferenceTimer) -> str:
+def _label(timer: Timer) -> str:
     qual = getattr(timer.fn, "__qualname__", repr(timer.fn))
     lane = _lane_of(timer)
     return f"{qual}[src={lane[1]}]" if lane is not None else qual
 
 
-def _lane_of(timer: ReferenceTimer) -> Optional[Tuple[str, str]]:
+def _lane_of(timer: Timer) -> Optional[Tuple[str, str]]:
     """FIFO lane of a network-arrival event (its source host), or None
     for barrier events whose order must not move."""
     qual = getattr(timer.fn, "__qualname__", "")
@@ -197,7 +195,7 @@ class CohortPermuter:
                 "changed_cohorts": self.changed_cohorts}
 
 
-class RaceScheduler(ReferenceScheduler):
+class RaceScheduler(Scheduler):
     """Scheduler that surfaces and (optionally) permutes same-time ties.
 
     Pops each same-time cohort off the heap before firing it, records
@@ -315,21 +313,30 @@ class RaceScheduler(ReferenceScheduler):
     def run_until(self, predicate: Callable[[], bool],
                   timeout: float = 60.0,
                   max_events: int = 10_000_000) -> None:
+        if self._running:
+            raise SimulationError(
+                "scheduler re-entered: run_until() called from an event")
+        self._running = True
         deadline = self.now + timeout
         processed = 0
-        while not predicate():
-            entry = self._next_live(None)
-            if entry is None:
-                raise SimulationError(
-                    "simulation quiesced before condition became true")
-            if entry[0] > deadline:
-                raise SimulationError(
-                    f"condition not reached within {timeout}s of "
-                    "simulated time")
-            self._fire(entry)
-            processed += 1
-            if processed > max_events:
-                raise SimulationError("event budget exhausted in run_until")
+        try:
+            while not predicate():
+                entry = self._next_live(None)
+                if entry is None:
+                    raise SimulationError(
+                        "simulation quiesced before condition became true")
+                if entry[0] > deadline:
+                    raise SimulationError(
+                        f"condition not reached within {timeout}s of "
+                        "simulated time")
+                self._fire(entry)
+                processed += 1
+                if processed >= max_events:
+                    raise SimulationError(
+                        f"event budget exhausted in run_until "
+                        f"({max_events} events)")
+        finally:
+            self._running = False
 
 
 # ----------------------------------------------------------------------

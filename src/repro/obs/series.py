@@ -30,7 +30,7 @@ registry is disabled — the default — instrumentation sites pay one
 attribute load and one boolean test, no allocation, no metric objects.
 
 Everything reads the simulated clock; two runs of a seeded scenario
-(on either twin scheduler) export byte-identical JSON.
+export byte-identical JSON.
 """
 
 from __future__ import annotations

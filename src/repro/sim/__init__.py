@@ -11,11 +11,10 @@ substitution preserves the behaviour the paper depends on.
 from .faults import FaultInjector
 from .host import Host, Process
 from .network import LatencyModel, Network
-from .reference_scheduler import ReferenceScheduler, ReferenceTimer
 from .scheduler import Scheduler, Timer
 from .tcp import TcpEndpoint, TcpListener, TcpStack
 from .trace import TraceRecord, Tracer
-from .world import Promise, SchedulerLike, World
+from .world import Promise, World
 
 __all__ = [
     "FaultInjector",
@@ -24,10 +23,7 @@ __all__ = [
     "Network",
     "Process",
     "Promise",
-    "ReferenceScheduler",
-    "ReferenceTimer",
     "Scheduler",
-    "SchedulerLike",
     "TcpEndpoint",
     "TcpListener",
     "TcpStack",

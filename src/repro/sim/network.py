@@ -213,8 +213,8 @@ class Network:
         size: int = 0,
     ) -> int:
         """Offer ``payload`` to every target with per-pair latency, using
-        one bulk ``post_batch`` push per *distinct delay* — one calendar
-        entry per target, but only one scheduling call per delay group.
+        one ``post_batch`` call per *distinct delay* — one heap entry
+        per target, scheduled in the given order.
 
         Semantically identical to looping ``send`` over ``targets`` in
         the given order: per-target accounting, liveness and partition

@@ -1,96 +1,57 @@
-"""Deterministic discrete-event scheduler (calendar-queue kernel).
+"""Deterministic discrete-event scheduler (binary-heap kernel).
 
 Every moving part of the reproduction — simulated TCP, Totem token
 rotation, replica execution, crash/recovery fault injection — runs on a
-single instance of :class:`Scheduler`.  Events scheduled for the same
-simulated time fire in the order they were scheduled (a monotonically
-increasing tie-break counter), which makes every run exactly
-reproducible for a given seed and script of events.
+single instance of :class:`Scheduler`.  Events fire in ``(time,
+tiebreak)`` order, with the tiebreak drawn from a monotonically
+increasing counter at scheduling (or reschedule/rearm) time, so events
+scheduled for the same simulated time fire in the order they were
+scheduled and every run is exactly reproducible for a given seed and
+script of events.
 
-The kernel is a two-tier calendar queue tuned for the protocol-timer
-regime (dominant sub-10ms delays, deep queues at gateway-farm scale):
-
-* **Tier 1 — slot buckets.**  Simulated time is divided into fixed
-  slots of ``slot_width`` seconds; each occupied slot owns an unsorted
-  list of event entries.  Scheduling is an O(1) dict lookup + append
-  instead of an O(log n) heap sift, and a whole same-slot cohort is
-  sorted and drained in one batch with a tight tuple-unpacking loop.
-* **Tier 2 — slot heap.**  Occupied slot indices live in a small int
-  min-heap, so far-future timers cost one heap entry per *slot*, not
-  per event, and the drain always knows the globally next slot.
-
-Determinism argument: ``int(t * inv)`` is monotone non-decreasing in
-``t`` (multiplication by a positive constant and truncation both
-preserve order), so slot order respects time order; within a slot the
-bucket is sorted by the exact ``(time, tiebreak)`` key before draining.
-Events scheduled *into the currently draining slot* are placed by
-binary insertion; their key is strictly greater than every entry
-already consumed (``time >= now`` and the tiebreak counter is
-monotone), so the list iterator meets them at their correct sorted
-position.  The firing order is therefore byte-for-byte the order the
-pre-overhaul binary-heap kernel (preserved as
-:class:`repro.sim.reference_scheduler.ReferenceScheduler`) produces —
-a property enforced by the twin-kernel differential harness in
-``tests/test_scheduler_differential.py``.
-
-Allocation is kept off the hot paths: entries are plain tuples carrying
-``(time, tiebreak, timer_or_None, fn, args)``; ``post`` schedules
-fire-and-forget events (network datagram deliveries) with **no** Timer
-object at all, and ``call_every`` re-arms periodic timers inside the
-drain loop, eliminating the per-period Python re-scheduling call.
-Instrumentation stays lazy: ``attach_metrics`` exports plain int
-attributes through callback-backed counters, so metrics cost nothing
-on the scheduling fast paths.
+The queue is one binary heap of ``(time, tiebreak, timer)`` entries.
+``reschedule`` to a later time is lazy: the stale entry stays queued and
+re-pushes the timer's authoritative key when it surfaces.  Cancelled
+entries are dropped at pop time, and compacted away in one heapify when
+they outnumber half the queue.  Instrumentation stays lazy:
+``attach_metrics`` exports plain int attributes through callback-backed
+counters, so metrics cost nothing on the scheduling paths.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import insort
-from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
 
 # Compaction only pays for itself once the queue is non-trivial.
 _COMPACT_MIN_QUEUE = 64
-# Default calendar slot width (seconds).  Wide enough that protocol
-# timers batch into same-slot cohorts, narrow enough that `run(until=)`
-# rarely splits a bucket.
-_SLOT_WIDTH = 0.008
-
-# An entry is (time, tiebreak, timer_or_None, fn, args).
-_Entry = Tuple[float, int, Optional["Timer"], Callable[..., Any], tuple]
 
 
 class Timer:
     """Handle for a scheduled callback; cancellable until it fires.
 
-    ``_tb`` is the authoritative tiebreak of the timer (its bucket
-    entry is live iff the entry's tiebreak equals it; ``cancel`` poisons
-    it to -1 so one int comparison covers cancelled, superseded and
-    lazily rescheduled entries alike).  ``_queued_time``/``_queued_tb``
-    describe the newest entry actually pushed; they differ from the
-    authoritative position only while a lazy ``reschedule`` to a later
+    ``_key`` is the authoritative ``(time, tiebreak)`` position of the
+    timer; ``_queued_key`` is the key of the newest heap entry pushed
+    for it.  The two differ only while a lazy ``reschedule`` to a later
     time is pending, in which case the stale entry re-pushes the timer
-    at its authoritative key when it surfaces.  ``interval`` is set for
-    ``call_every`` timers, which the drain loop re-arms in place.
+    at ``_key`` when it surfaces.
     """
 
-    __slots__ = ("time", "fn", "args", "interval", "cancelled", "fired",
-                 "_tb", "_queued_time", "_queued_tb", "_sched")
+    __slots__ = ("time", "fn", "args", "cancelled", "fired",
+                 "_key", "_queued_key", "_sched")
 
-    def __init__(self, time: float, fn: Callable[..., Any], args: Tuple[Any, ...]):
+    def __init__(self, time: float, fn: Callable[..., Any],
+                 args: Tuple[Any, ...]) -> None:
         self.time = time
         self.fn = fn
         self.args = args
-        self.interval: Optional[float] = None
         self.cancelled = False
         self.fired = False
-        self._tb = -1
-        self._queued_time = time
-        self._queued_tb = -1
+        self._key: Tuple[float, int] = (time, -1)
+        self._queued_key: Tuple[float, int] = self._key
         self._sched: Optional["Scheduler"] = None
 
     def cancel(self) -> None:
@@ -98,7 +59,6 @@ class Timer:
         if self.cancelled or self.fired:
             return
         self.cancelled = True
-        self._tb = -1
         if self._sched is not None:
             self._sched._note_cancelled()
 
@@ -113,30 +73,15 @@ class Timer:
 
 
 class Scheduler:
-    """Calendar-queue event loop with deterministic same-time ordering."""
+    """Binary-heap event loop with deterministic same-time ordering."""
 
-    def __init__(self, slot_width: float = _SLOT_WIDTH) -> None:
-        if slot_width <= 0:
-            raise SimulationError(f"slot_width must be positive, got {slot_width}")
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self._inv = 1.0 / slot_width
-        self._width = slot_width
-        # slot index -> unsorted list of entries for that slot.
-        self._buckets: Dict[int, List[_Entry]] = {}
-        # Min-heap of occupied slot indices (disjoint from _active_slot).
-        self._slot_heap: List[int] = []
-        # The cohort currently being drained (sorted; entries before
-        # _active_i are consumed).  Same-slot schedules insort into it.
-        self._active: Optional[List[_Entry]] = None
-        self._active_slot = -1
-        self._active_i = 0
+        self._queue: List[Tuple[float, int, Timer]] = []
         self._tiebreak = itertools.count()
         self._events_processed = 0
         self._running = False
         self._cancelled_in_queue = 0
-        # Next stale count at which the compaction trigger re-evaluates;
-        # keeps the cancel path to one int compare (see _note_cancelled).
-        self._compact_watermark = _COMPACT_MIN_QUEUE // 2 + 1
         self.timers_rescheduled = 0
         self.queue_compactions = 0
         self.batched_posted = 0
@@ -145,7 +90,7 @@ class Scheduler:
         """Export reschedule/compaction counts through a metrics registry.
 
         Uses callback-backed counters reading the plain int attributes,
-        so the hot paths never touch a metric object.
+        so the scheduling paths never touch a metric object.
         """
         registry.counter_fn("sched.timers.rescheduled",
                             lambda: self.timers_rescheduled)
@@ -164,27 +109,12 @@ class Scheduler:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self.now}"
             )
-        timer = Timer.__new__(Timer)
-        timer.time = time
-        timer.fn = fn
-        timer.args = args
-        timer.interval = None
-        timer.cancelled = False
-        timer.fired = False
+        timer = Timer(time, fn, args)
         timer._sched = self
-        tb = next(self._tiebreak)
-        timer._tb = tb
-        timer._queued_time = time
-        timer._queued_tb = tb
-        slot = int(time * self._inv)
-        bucket = self._buckets.get(slot)
-        if bucket is not None:
-            bucket.append((time, tb, timer, fn, args))
-        elif slot == self._active_slot:
-            insort(self._active, (time, tb, timer, fn, args))
-        else:
-            self._buckets[slot] = [(time, tb, timer, fn, args)]
-            heappush(self._slot_heap, slot)
+        key = (time, next(self._tiebreak))
+        timer._key = key
+        timer._queued_key = key
+        heapq.heappush(self._queue, (time, key[1], timer))
         return timer
 
     def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Timer:
@@ -192,27 +122,12 @@ class Scheduler:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         time = self.now + delay
-        timer = Timer.__new__(Timer)
-        timer.time = time
-        timer.fn = fn
-        timer.args = args
-        timer.interval = None
-        timer.cancelled = False
-        timer.fired = False
+        timer = Timer(time, fn, args)
         timer._sched = self
-        tb = next(self._tiebreak)
-        timer._tb = tb
-        timer._queued_time = time
-        timer._queued_tb = tb
-        slot = int(time * self._inv)
-        bucket = self._buckets.get(slot)
-        if bucket is not None:
-            bucket.append((time, tb, timer, fn, args))
-        elif slot == self._active_slot:
-            insort(self._active, (time, tb, timer, fn, args))
-        else:
-            self._buckets[slot] = [(time, tb, timer, fn, args)]
-            heappush(self._slot_heap, slot)
+        key = (time, next(self._tiebreak))
+        timer._key = key
+        timer._queued_key = key
+        heapq.heappush(self._queue, (time, key[1], timer))
         return timer
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> Timer:
@@ -220,96 +135,46 @@ class Scheduler:
         return self.call_at(self.now, fn, *args)
 
     def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget ``call_after``: no Timer, no handle.
+        """Fire-and-forget ``call_after``: no handle is returned.
 
-        One tiebreak is drawn here, exactly as ``call_after`` would, so
-        ordering is identical — only the ability to cancel/reschedule
-        (and the per-event allocation) is gone.  This is the datagram
-        delivery path: the network never cancels an in-flight packet.
+        Semantically identical to ``call_after`` (one tiebreak is drawn
+        here) minus the ability to cancel or reschedule; callers that
+        never touch the handle (network datagram deliveries) say so.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        time = self.now + delay
-        tb = next(self._tiebreak)
-        slot = int(time * self._inv)
-        bucket = self._buckets.get(slot)
-        if bucket is not None:
-            bucket.append((time, tb, None, fn, args))
-        elif slot == self._active_slot:
-            insort(self._active, (time, tb, None, fn, args))
-        else:
-            self._buckets[slot] = [(time, tb, None, fn, args)]
-            heappush(self._slot_heap, slot)
+        self.call_after(delay, fn, *args)
 
     def post_batch(self, delay: float, fn: Callable[..., Any],
                    argss: List[tuple]) -> None:
-        """Schedule ``fn(*args)`` for every ``args`` in ``argss``, all at
-        ``now + delay`` — the same-time-cohort bulk push.
+        """Same-time-cohort bulk push: one ``post`` per ``args``, in order.
 
-        Semantically identical to ``for args in argss: post(delay, fn,
-        *args)``: each element draws its own consecutive tiebreak, so
-        the batch fires in iteration order.  The whole cohort costs one
-        slot lookup and one ``list.extend`` instead of a full scheduling
-        call per event, which is what makes broadcast fan-out (one
-        delivery per gateway at the same simulated instant) cheap.
+        ``batched_posted`` counts the events pushed this way (exported
+        as ``sched.post.batched``).
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
         if not isinstance(argss, (list, tuple)):
             argss = list(argss)
-        if not argss:
-            return
         self.batched_posted += len(argss)
-        time = self.now + delay
-        tiebreaks = itertools.islice(self._tiebreak, len(argss))
-        entries = [(time, tb, None, fn, args)
-                   for tb, args in zip(tiebreaks, argss)]
-        slot = int(time * self._inv)
-        bucket = self._buckets.get(slot)
-        if bucket is not None:
-            bucket.extend(entries)
-        elif slot == self._active_slot:
-            for entry in entries:
-                insort(self._active, entry)
-        else:
-            self._buckets[slot] = entries
-            heappush(self._slot_heap, slot)
+        for args in argss:
+            self.call_after(delay, fn, *args)
 
     def call_every(self, interval: float, fn: Callable[..., Any],
                    *args: Any) -> Timer:
         """Schedule ``fn(*args)`` every ``interval`` until cancelled.
 
-        The first firing is at ``now + interval``.  The drain loop
-        re-arms the timer *before* running ``fn`` — drawing exactly one
-        fresh tiebreak per period, like the chained-``call_after`` idiom
-        it replaces — without a Python-level re-scheduling call per
-        period.  Cancel the returned handle to stop the series.
+        The first firing is at ``now + interval``.  Each firing re-arms
+        the timer *before* running ``fn`` — drawing exactly one fresh
+        tiebreak per period, like the chained-``call_after`` idiom it
+        replaces — so anything ``fn`` itself schedules sorts after the
+        next period's slot.  Cancel the returned handle to stop.
         """
         if interval <= 0:
             raise SimulationError(
                 f"call_every requires a positive interval, got {interval}")
-        time = self.now + interval
-        timer = Timer.__new__(Timer)
-        timer.time = time
-        timer.fn = fn
-        timer.args = args
-        timer.interval = interval
-        timer.cancelled = False
-        timer.fired = False
-        timer._sched = self
-        tb = next(self._tiebreak)
-        timer._tb = tb
-        timer._queued_time = time
-        timer._queued_tb = tb
-        slot = int(time * self._inv)
-        bucket = self._buckets.get(slot)
-        if bucket is not None:
-            bucket.append((time, tb, timer, fn, args))
-        elif slot == self._active_slot:
-            insort(self._active, (time, tb, timer, fn, args))
-        else:
-            self._buckets[slot] = [(time, tb, timer, fn, args)]
-            heappush(self._slot_heap, slot)
+
+        def tick() -> None:
+            self.rearm_after(timer, interval)
+            fn(*args)
+
+        timer = self.call_after(interval, tick)
         return timer
 
     def reschedule(self, timer: Timer, time: float) -> Timer:
@@ -317,11 +182,8 @@ class Scheduler:
 
         Exactly equivalent — including same-time ordering — to
         ``timer.cancel()`` followed by ``call_at(time, timer.fn,
-        *timer.args)``: one fresh tie-break is drawn at this moment.
-        The entry is only re-pushed immediately when the timer moves
-        *earlier*; moves to a later time ride along until the stale
-        entry surfaces, which amortises a burst of M reschedules into a
-        single extra push.
+        *timer.args)``.  Moves to a later time are lazy: the stale heap
+        entry re-pushes the authoritative key when it surfaces.
         """
         if not timer.active:
             raise SimulationError(f"cannot reschedule inactive timer {timer!r}")
@@ -332,61 +194,21 @@ class Scheduler:
                 f"cannot reschedule event to t={time} before now={self.now}"
             )
         timer.time = time
-        tb = next(self._tiebreak)
-        timer._tb = tb
-        if time < timer._queued_time:
-            timer._queued_time = time
-            timer._queued_tb = tb
-            slot = int(time * self._inv)
-            bucket = self._buckets.get(slot)
-            if bucket is not None:
-                bucket.append((time, tb, timer, timer.fn, timer.args))
-            elif slot == self._active_slot:
-                insort(self._active, (time, tb, timer, timer.fn, timer.args))
-            else:
-                self._buckets[slot] = [(time, tb, timer, timer.fn, timer.args)]
-                heappush(self._slot_heap, slot)
+        timer._key = (time, next(self._tiebreak))
+        if time < timer._queued_key[0]:
+            timer._queued_key = timer._key
+            heapq.heappush(self._queue, (time, timer._key[1], timer))
         self.timers_rescheduled += 1
         return timer
 
     def reschedule_after(self, timer: Timer, delay: float) -> Timer:
-        """Move a pending timer to ``now + delay``; see ``reschedule``.
-
-        Inlined body of ``reschedule`` — this is the once-per-token-pass
-        loss-timer path, and ``delay >= 0`` makes ``time >= now``.
-        """
+        """Move a pending timer to ``now + delay``; see ``reschedule``."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        if timer.cancelled or timer.fired:
-            raise SimulationError(f"cannot reschedule inactive timer {timer!r}")
-        if timer._sched is not self:
-            raise SimulationError("timer belongs to a different scheduler")
-        time = self.now + delay
-        timer.time = time
-        tb = next(self._tiebreak)
-        timer._tb = tb
-        if time < timer._queued_time:
-            timer._queued_time = time
-            timer._queued_tb = tb
-            slot = int(time * self._inv)
-            bucket = self._buckets.get(slot)
-            if bucket is not None:
-                bucket.append((time, tb, timer, timer.fn, timer.args))
-            elif slot == self._active_slot:
-                insort(self._active, (time, tb, timer, timer.fn, timer.args))
-            else:
-                self._buckets[slot] = [(time, tb, timer, timer.fn, timer.args)]
-                heappush(self._slot_heap, slot)
-        self.timers_rescheduled += 1
-        return timer
+        return self.reschedule(timer, self.now + delay)
 
     def rearm_after(self, timer: Timer, delay: float) -> Timer:
-        """Re-schedule a timer that has already *fired*, reusing the
-        object.  Draws a fresh tie-break at this moment — exactly what
-        ``call_after(delay, timer.fn, *timer.args)`` would consume — so
-        event ordering is identical to recreating the timer; only the
-        allocation is saved.  Meant for strictly periodic hot-path
-        timers (e.g. the Totem token hold timer)."""
+        """Re-schedule a timer that has already *fired*, reusing the object."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         if timer.cancelled or not timer.fired:
@@ -396,19 +218,10 @@ class Scheduler:
         timer.fired = False
         time = self.now + delay
         timer.time = time
-        tb = next(self._tiebreak)
-        timer._tb = tb
-        timer._queued_time = time
-        timer._queued_tb = tb
-        slot = int(time * self._inv)
-        bucket = self._buckets.get(slot)
-        if bucket is not None:
-            bucket.append((time, tb, timer, timer.fn, timer.args))
-        elif slot == self._active_slot:
-            insort(self._active, (time, tb, timer, timer.fn, timer.args))
-        else:
-            self._buckets[slot] = [(time, tb, timer, timer.fn, timer.args)]
-            heappush(self._slot_heap, slot)
+        key = (time, next(self._tiebreak))
+        timer._key = key
+        timer._queued_key = key
+        heapq.heappush(self._queue, (time, key[1], timer))
         return timer
 
     # ------------------------------------------------------------------
@@ -417,66 +230,38 @@ class Scheduler:
 
     def _note_cancelled(self) -> None:
         self._cancelled_in_queue += 1
-        if self._cancelled_in_queue < self._compact_watermark:
-            return
-        # Re-evaluate the trigger: counting live entries is O(#buckets),
-        # so it runs only when the stale count crosses the watermark —
-        # which is pinned at the exact point `stale > total // 2` could
-        # first hold, keeping the audit contract (stale bounded by half
-        # the queue) intact without per-cancel scans.
-        total = sum(map(len, self._buckets.values()))
-        active = self._active
-        if active is not None:
-            total += len(active) - self._active_i
-        if (total >= _COMPACT_MIN_QUEUE
-                and self._cancelled_in_queue > total // 2):
+        if (len(self._queue) >= _COMPACT_MIN_QUEUE
+                and self._cancelled_in_queue > len(self._queue) // 2):
             self._compact()
-        else:
-            self._compact_watermark = max(total // 2 + 1,
-                                          self._cancelled_in_queue + 1)
 
     def _compact(self) -> None:
         """Drop cancelled/duplicate entries and normalise pending lazy
-        reschedules to their authoritative keys, rebuilding the calendar
-        in one pass.  The active cohort is left untouched (it is being
-        iterated); its handful of stale entries drain normally."""
-        inv = self._inv
-        active = self._active
-        active_slot = self._active_slot
-        fresh: Dict[int, List[_Entry]] = {}
-        for bucket in self._buckets.values():
-            for entry in bucket:
-                time, tb, timer, fn, args = entry
-                if timer is None:
-                    pass  # fire-and-forget entries are always live
-                elif timer._tb == tb:
-                    pass  # authoritative entry
-                elif not timer.cancelled and tb == timer._queued_tb:
-                    # Pending lazy reschedule: normalise to the
-                    # authoritative key.
-                    time = timer.time
-                    tb = timer._tb
-                    timer._queued_time = time
-                    timer._queued_tb = tb
-                    entry = (time, tb, timer, fn, args)
-                else:
-                    continue  # cancelled or superseded duplicate
-                slot = int(time * inv)
-                if slot == active_slot and active is not None:
-                    insort(active, entry)
-                else:
-                    kept = fresh.get(slot)
-                    if kept is None:
-                        fresh[slot] = [entry]
-                    else:
-                        kept.append(entry)
-        heap = list(fresh)
-        heapq.heapify(heap)
-        self._buckets = fresh
-        self._slot_heap = heap
+        reschedules to their authoritative keys, in one heapify."""
+        live: List[Tuple[float, int, Timer]] = []
+        for time, tiebreak, timer in self._queue:
+            if not timer.active:
+                continue
+            if (time, tiebreak) != timer._queued_key:
+                continue  # superseded duplicate from an earlier-move push
+            key = timer._key
+            timer._queued_key = key
+            live.append((key[0], key[1], timer))
+        heapq.heapify(live)
+        self._queue = live
         self._cancelled_in_queue = 0
-        self._compact_watermark = _COMPACT_MIN_QUEUE // 2 + 1
         self.queue_compactions += 1
+
+    def _pop_stale(self, time: float, tiebreak: int, timer: Timer) -> None:
+        """Bookkeeping for a popped garbage entry (cancelled, superseded,
+        or lazily rescheduled)."""
+        if timer.cancelled:
+            if self._cancelled_in_queue:
+                self._cancelled_in_queue -= 1
+            return
+        if (time, tiebreak) == timer._queued_key:
+            key = timer._key
+            timer._queued_key = key
+            heapq.heappush(self._queue, (key[0], key[1], timer))
 
     # ------------------------------------------------------------------
     # Driving the loop
@@ -485,322 +270,30 @@ class Scheduler:
     @property
     def pending_events(self) -> int:
         """Number of queued events, including cancelled ones not yet popped."""
-        count = sum(map(len, self._buckets.values()))
-        active = self._active
-        if active is not None:
-            count += len(active) - self._active_i
-        return count
+        return len(self._queue)
 
     @property
     def stale_entries(self) -> int:
-        """Cancelled entries still sitting in the calendar."""
+        """Cancelled entries still sitting in the queue."""
         return self._cancelled_in_queue
 
     @property
     def events_processed(self) -> int:
         return self._events_processed
 
-    def _checkout_bucket(self) -> bool:
-        """Make ``self._active`` the cohort holding the globally next
-        entry.  Returns False when nothing is queued.
-
-        A stashed active cohort (left by ``step``/``run(until=)``/an
-        exception) normally resumes directly, but if an *earlier* slot
-        has been scheduled since the stash, the unconsumed remainder is
-        returned to the calendar first so slots drain in order.
-        """
-        active = self._active
-        if active is not None:
-            if self._active_i >= len(active):
-                self._active = None
-                self._active_slot = -1
-                self._active_i = 0
-            else:
-                heap = self._slot_heap
-                if not heap or heap[0] > self._active_slot:
-                    return True
-                i = self._active_i
-                self._buckets[self._active_slot] = active[i:] if i else active
-                heappush(heap, self._active_slot)
-                self._active = None
-                self._active_slot = -1
-                self._active_i = 0
-        heap = self._slot_heap
-        if not heap:
-            return False
-        slot = heappop(heap)
-        bucket = self._buckets.pop(slot)
-        if len(bucket) > 1:
-            bucket.sort()
-        self._active = bucket
-        self._active_slot = slot
-        self._active_i = 0
-        return True
-
-    def _seal_active(self) -> None:
-        """Strip the consumed prefix off a stashed active cohort.
-
-        While the loop is *stopped* mid-cohort, ``now`` can sit far
-        below the unconsumed entries (a ``run(until=...)`` bound), so a
-        new ``insort`` key is NOT guaranteed to exceed the consumed
-        prefix — skipped garbage there may hold larger keys.  Deleting
-        the prefix restores the invariant the insertion paths rely on:
-        everything in ``_active`` at or past ``_active_i`` is
-        unconsumed.  (While the loop is running this holds for free:
-        the bucket is sorted, so every visited key is bounded by the
-        firing entry's key, and a handler's insertion key — ``time >=
-        now`` with a fresh maximal tie-break — always exceeds it.)
-        """
-        if self._active is not None and self._active_i:
-            del self._active[:self._active_i]
-            self._active_i = 0
-
-    def _next_live(self) -> Optional[_Entry]:
-        """Advance past garbage to the next live entry, leaving
-        ``_active_i`` pointing *at* it; None when the queue is empty."""
-        while True:
-            if not self._checkout_bucket():
-                return None
-            bucket = self._active
-            assert bucket is not None
-            i = self._active_i
-            while i < len(bucket):
-                entry = bucket[i]
-                timer = entry[2]
-                if timer is None or timer._tb == entry[1]:
-                    self._active_i = i
-                    return entry
-                i += 1
-                if timer.cancelled:
-                    if self._cancelled_in_queue:
-                        self._cancelled_in_queue -= 1
-                elif entry[1] == timer._queued_tb:
-                    self._repush_authoritative(timer)
-                # else: superseded duplicate — drop silently
-            self._active = None
-            self._active_slot = -1
-            self._active_i = 0
-
-    def _repush_authoritative(self, timer: Timer) -> None:
-        """A lazy-reschedule entry surfaced: push the timer at its
-        authoritative ``(time, tiebreak)`` key."""
-        time = timer.time
-        tb = timer._tb
-        timer._queued_time = time
-        timer._queued_tb = tb
-        slot = int(time * self._inv)
-        bucket = self._buckets.get(slot)
-        if bucket is not None:
-            bucket.append((time, tb, timer, timer.fn, timer.args))
-        elif slot == self._active_slot:
-            insort(self._active, (time, tb, timer, timer.fn, timer.args))
-        else:
-            self._buckets[slot] = [(time, tb, timer, timer.fn, timer.args)]
-            heappush(self._slot_heap, slot)
-
-    def _consume(self, entry: _Entry) -> None:
-        """Fire one live entry already pointed at by ``_active_i``."""
-        self._active_i += 1
-        time, tb, timer, fn, args = entry
-        if timer is not None:
-            interval = timer.interval
-            if interval is None:
-                timer.fired = True
-            else:
-                # Periodic: re-arm before firing (fresh tiebreak first).
-                ntime = time + interval
-                ntb = next(self._tiebreak)
-                timer.time = ntime
-                timer._tb = ntb
-                timer._queued_time = ntime
-                timer._queued_tb = ntb
-                slot = int(ntime * self._inv)
-                bucket = self._buckets.get(slot)
-                if bucket is not None:
-                    bucket.append((ntime, ntb, timer, fn, args))
-                elif slot == self._active_slot:
-                    insort(self._active, (ntime, ntb, timer, fn, args))
-                else:
-                    self._buckets[slot] = [(ntime, ntb, timer, fn, args)]
-                    heappush(self._slot_heap, slot)
-        self.now = time
-        self._events_processed += 1
-        if args:
-            fn(*args)
-        else:
-            fn()
-
     def step(self) -> bool:
         """Run the next event.  Returns False when the queue is empty."""
-        try:
-            entry = self._next_live()
-            if entry is None:
-                return False
-            self._consume(entry)
-            return True
-        finally:
-            self._seal_active()
-
-    def _drain(self, budget: int) -> int:
-        """Drain everything (no time bound); returns events processed.
-
-        This is the hot loop: one sorted cohort at a time, tuple
-        unpacking straight out of the bucket list, liveness decided by a
-        single int comparison, and periodic timers re-armed in place.
-        """
-        n = 0
-        ct = self._tiebreak
-        inv = self._inv
-        while self._checkout_bucket():
-            bucket = self._active
-            if self._active_i:
-                # Resuming mid-cohort (after step()/run(until=)/raise):
-                # generic indexed loop for the remainder.
-                n = self._drain_active(n, budget, None)
-                if self._active is not None:
-                    return n
+        while self._queue:
+            time, tiebreak, timer = heapq.heappop(self._queue)
+            if timer.cancelled or (time, tiebreak) != timer._key:
+                self._pop_stale(time, tiebreak, timer)
                 continue
-            i = 0
-            n0 = n
-            try:
-                for t, tb, tm, fn, args in bucket:
-                    if tm is None:
-                        if n >= budget:
-                            return n
-                        i += 1
-                        self.now = t
-                        n += 1
-                        self._active_i = i
-                        if args:
-                            fn(*args)
-                        else:
-                            fn()
-                    elif tm._tb == tb:
-                        if n >= budget:
-                            return n
-                        i += 1
-                        itv = tm.interval
-                        if itv is None:
-                            tm.fired = True
-                        else:
-                            nt = t + itv
-                            ntb = next(ct)
-                            tm.time = nt
-                            tm._tb = ntb
-                            tm._queued_time = nt
-                            tm._queued_tb = ntb
-                            nslot = int(nt * inv)
-                            nb = self._buckets.get(nslot)
-                            if nb is not None:
-                                nb.append((nt, ntb, tm, fn, args))
-                            elif nslot == self._active_slot:
-                                insort(bucket, (nt, ntb, tm, fn, args))
-                            else:
-                                self._buckets[nslot] = [(nt, ntb, tm, fn, args)]
-                                heappush(self._slot_heap, nslot)
-                        self.now = t
-                        n += 1
-                        self._active_i = i
-                        if args:
-                            fn(*args)
-                        else:
-                            fn()
-                    else:
-                        i += 1
-                        if tm.cancelled:
-                            if self._cancelled_in_queue:
-                                self._cancelled_in_queue -= 1
-                        elif tb == tm._queued_tb:
-                            self._repush_authoritative(tm)
-            finally:
-                self._events_processed += n - n0
-                if i >= len(bucket):
-                    self._active = None
-                    self._active_slot = -1
-                    self._active_i = 0
-                else:
-                    # Stopping mid-cohort (budget or exception): seal so
-                    # later insertions can't land below the resume point.
-                    del bucket[:i]
-                    self._active_i = 0
-        return n
-
-    def _drain_active(self, n: int, budget: int,
-                      limit: Optional[float]) -> int:
-        """Generic cohort drain: honours a time ``limit`` and resumes at
-        ``_active_i``.  Used by ``run(until=)`` and for cohorts stashed
-        mid-drain; slower than the fast loop but fully general."""
-        bucket = self._active
-        assert bucket is not None
-        i = self._active_i
-        n0 = n
-        try:
-            while i < len(bucket):
-                entry = bucket[i]
-                tm = entry[2]
-                if tm is not None and tm._tb != entry[1]:
-                    i += 1
-                    if tm.cancelled:
-                        if self._cancelled_in_queue:
-                            self._cancelled_in_queue -= 1
-                    elif entry[1] == tm._queued_tb:
-                        self._repush_authoritative(tm)
-                    continue
-                t = entry[0]
-                if limit is not None and t > limit:
-                    break
-                if n >= budget:
-                    break
-                i += 1
-                self._active_i = i
-                t, tb, tm, fn, args = entry
-                if tm is not None:
-                    itv = tm.interval
-                    if itv is None:
-                        tm.fired = True
-                    else:
-                        nt = t + itv
-                        ntb = next(self._tiebreak)
-                        tm.time = nt
-                        tm._tb = ntb
-                        tm._queued_time = nt
-                        tm._queued_tb = ntb
-                        nslot = int(nt * self._inv)
-                        nb = self._buckets.get(nslot)
-                        if nb is not None:
-                            nb.append((nt, ntb, tm, fn, args))
-                        elif nslot == self._active_slot:
-                            insort(bucket, (nt, ntb, tm, fn, args))
-                        else:
-                            self._buckets[nslot] = [(nt, ntb, tm, fn, args)]
-                            heappush(self._slot_heap, nslot)
-                self.now = t
-                n += 1
-                if args:
-                    fn(*args)
-                else:
-                    fn()
-        finally:
-            self._events_processed += n - n0
-            if i >= len(bucket):
-                self._active = None
-                self._active_slot = -1
-                self._active_i = 0
-            else:
-                # Stopping mid-cohort (limit, budget, or exception):
-                # seal — see _seal_active for the invariant.
-                del bucket[:i]
-                self._active_i = 0
-        return n
-
-    def _drain_until_time(self, limit: float, budget: int) -> int:
-        n = 0
-        while self._checkout_bucket():
-            n = self._drain_active(n, budget, limit)
-            if self._active is not None:
-                # Stopped on the time bound or the budget mid-cohort.
-                return n
-        return n
+            self.now = time
+            timer.fired = True
+            self._events_processed += 1
+            timer.fn(*timer.args)
+            return True
+        return False
 
     def run(
         self,
@@ -817,11 +310,24 @@ class Scheduler:
         if self._running:
             raise SimulationError("scheduler re-entered: run() called from an event")
         self._running = True
+        processed = 0
+        heappop = heapq.heappop
         try:
-            if until is None:
-                processed = self._drain(max_events)
-            else:
-                processed = self._drain_until_time(until, max_events)
+            # NOTE: self._queue is re-read every iteration on purpose —
+            # a compaction triggered inside an event handler rebinds it.
+            while self._queue and processed < max_events:
+                time, tiebreak, timer = self._queue[0]
+                if until is not None and time > until:
+                    break
+                heappop(self._queue)
+                if timer.cancelled or (time, tiebreak) != timer._key:
+                    self._pop_stale(time, tiebreak, timer)
+                    continue
+                self.now = time
+                timer.fired = True
+                self._events_processed += 1
+                processed += 1
+                timer.fn(*timer.args)
             if processed >= max_events:
                 raise SimulationError(
                     f"event budget exhausted ({max_events} events): likely a livelock"
@@ -842,10 +348,10 @@ class Scheduler:
 
         Mirrors ``run`` exactly: re-entry from an event handler raises
         instead of corrupting the loop; the deadline is checked against
-        the *peeked* next event so a timeout leaves it queued rather
-        than silently consuming it; and the event budget raises the
-        moment it is fully spent, exactly as ``run(max_events=N)`` does
-        after its N-th event.
+        the *peeked* head so a timeout leaves the due event queued
+        rather than silently consuming it; and the event budget raises
+        the moment it is fully spent, exactly as ``run(max_events=N)``
+        does after its N-th event.
         """
         if self._running:
             raise SimulationError(
@@ -853,32 +359,35 @@ class Scheduler:
         self._running = True
         processed = 0
         deadline = self.now + timeout
+        heappop = heapq.heappop
         try:
-            while True:
-                # The predicate is arbitrary user code (it may cancel or
-                # reschedule timers), so seal the stashed cohort before
-                # every call, as at any other stopped-loop boundary.
-                self._seal_active()
-                if predicate():
-                    break
-                entry = self._next_live()
-                if entry is None:
+            while not predicate():
+                queue = self._queue
+                if not queue:
                     raise SimulationError(
                         "simulation quiesced before condition became true"
                     )
-                if entry[0] > deadline:
+                time, tiebreak, timer = queue[0]
+                if timer.cancelled or (time, tiebreak) != timer._key:
+                    heappop(queue)
+                    self._pop_stale(time, tiebreak, timer)
+                    continue
+                if time > deadline:
                     raise SimulationError(
                         f"condition not reached within {timeout}s of simulated time"
                     )
-                self._consume(entry)
+                heappop(queue)
+                self.now = time
+                timer.fired = True
+                self._events_processed += 1
                 processed += 1
+                timer.fn(*timer.args)
                 if processed >= max_events:
                     raise SimulationError(
                         f"event budget exhausted in run_until "
                         f"({max_events} events)")
         finally:
-            self._seal_active()
             self._running = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Scheduler now={self.now:.6f} queued={self.pending_events}>"
+        return f"<Scheduler now={self.now:.6f} queued={len(self._queue)}>"

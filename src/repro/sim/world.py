@@ -12,7 +12,7 @@ simulation.
 from __future__ import annotations
 
 import random
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, Optional
 
 from ..errors import SimulationError
 from ..obs import (AuditReport, AuditScope, FlightRecorder, MetricsRegistry,
@@ -20,16 +20,9 @@ from ..obs import (AuditReport, AuditScope, FlightRecorder, MetricsRegistry,
 from .faults import FaultInjector
 from .host import Host
 from .network import LatencyModel, Network
-from .reference_scheduler import ReferenceScheduler
 from .scheduler import _COMPACT_MIN_QUEUE, Scheduler
 from .tcp import TcpStack
 from .trace import Tracer
-
-#: Anything a World can run on: the production calendar-queue kernel or
-#: the pre-overhaul binary-heap kernel (kept as the differential-test
-#: reference and the base of the race detector's permuting scheduler).
-#: The two expose the same public surface and identical event ordering.
-SchedulerLike = Union[Scheduler, ReferenceScheduler]
 
 
 class Promise:
@@ -104,7 +97,7 @@ class World:
         mtu: Optional[int] = None,
         trace_spans: bool = False,
         trace_max_records: Optional[int] = None,
-        scheduler: Optional[SchedulerLike] = None,
+        scheduler: Optional[Scheduler] = None,
         series: bool = False,
         series_window: float = 1.0,
         series_capacity: int = 240,
@@ -115,7 +108,7 @@ class World:
         # An injected scheduler (e.g. the race detector's cohort-
         # permuting subclass) must be fresh: it becomes this world's
         # clock and the anchor of every component built below.
-        self.scheduler: SchedulerLike = (
+        self.scheduler: Scheduler = (
             scheduler if scheduler is not None else Scheduler())
         self.tracer = Tracer(enabled=trace, max_records=trace_max_records)
         # One registry per world: the simulated clock is the scheduler,
@@ -216,7 +209,7 @@ class World:
 
     def series_json(self) -> str:
         """Canonical JSON dump of every time series (byte-identical
-        across seeded reruns, on either twin scheduler)."""
+        across seeded reruns)."""
         return self.series.to_json()
 
     def flight_json(self) -> str:

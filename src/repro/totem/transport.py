@@ -64,11 +64,11 @@ class TotemTransport:
                   size: int = 64) -> None:
         """Send ``message`` to every registered member (including sender).
 
-        Fan-out is batched: the network pushes the whole per-latency
-        delivery cohort through ``Scheduler.post_batch`` (one bulk
-        scheduling call per distinct latency — in practice two, the
-        sender's loopback and the LAN group) instead of a full
-        scheduling call per member.  Members are offered the datagram
+        Fan-out is batched: the network hands the whole per-latency
+        delivery cohort to ``Scheduler.post_batch`` (one call per
+        distinct latency — in practice two, the sender's loopback and
+        the LAN group), which pushes one heap entry per member.
+        Members are offered the datagram
         in deterministic registration order, exactly as the per-member
         ``send`` loop used to interleave them.
         ``totem.broadcast.batched_deliveries`` counts the per-target

@@ -20,8 +20,7 @@ from repro.analysis.race import (CohortPermuter, RaceRecorder, RaceScheduler,
                                  permutation_sweep)
 from repro.analysis.scenarios import GOLDEN_SCENARIOS
 from repro.errors import SimulationError
-from repro.sim.reference_scheduler import ReferenceTimer
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import Scheduler, Timer
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +136,7 @@ class Network:
 
 
 def _arrival(time, tiebreak, src):
-    timer = ReferenceTimer(time, Network()._arrive, (src, b""))
+    timer = Timer(time, Network()._arrive, (src, b""))
     timer._key = (time, tiebreak)
     return (time, tiebreak, timer)
 
@@ -146,7 +145,7 @@ def _barrier(time, tiebreak):
     def crash():
         pass
 
-    timer = ReferenceTimer(time, crash, ())
+    timer = Timer(time, crash, ())
     timer._key = (time, tiebreak)
     return (time, tiebreak, timer)
 

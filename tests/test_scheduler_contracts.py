@@ -1,37 +1,38 @@
 """Loop-contract parity (`run` vs `run_until`) and kernel edge cases.
 
-Satellite coverage for the kernel overhaul PR, in two halves:
+Two halves:
 
-* **run_until parity regressions** — the pre-overhaul ``run_until``
-  diverged from ``run`` in three ways: the event budget only raised
-  strictly *beyond* ``max_events`` (``run`` raises the moment the
-  budget is spent), there was no ``_running`` re-entrancy guard, and
-  the deadline was checked only *after* popping the next entry, so a
-  timeout silently consumed the event it refused to run.  Both kernels
-  now share the strict contracts; these tests fail against the old
-  behaviour.
-* **calendar-kernel edge cases** — compaction fired from inside an
-  event handler, lazy reschedules surfacing after a compaction,
+* **run_until parity regressions** — an earlier ``run_until`` diverged
+  from ``run`` in three ways: the event budget only raised strictly
+  *beyond* ``max_events`` (``run`` raises the moment the budget is
+  spent), there was no ``_running`` re-entrancy guard, and the deadline
+  was checked only *after* popping the next entry, so a timeout
+  silently consumed the event it refused to run.  These tests fail
+  against the old behaviour.
+* **kernel edge cases** — compaction fired from inside an event
+  handler, lazy reschedules surfacing after a compaction,
   ``rearm_after`` interleaved with ``cancel``, garbage accounting in
-  ``pending_events``, and rescheduling into a cohort stashed by a
-  ``run(until=...)`` bound (the insertion-below-resume-point hazard the
-  differential harness originally caught).
+  ``pending_events``, and rescheduling a survivor earlier after a
+  ``run(until=...)`` bound skipped garbage.
 
-Everything that is kernel-independent is parametrized over both
-kernels, so the reference heap keeps certifying the same contracts.
+Every test runs on the simulation kernel and on the race detector's
+:class:`~repro.analysis.race.RaceScheduler`, which subclasses it and
+overrides the loops: the detector must keep the contracts it sweeps
+under.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis.race import RaceScheduler
 from repro.errors import SimulationError
-from repro.sim.reference_scheduler import (_COMPACT_MIN_QUEUE,
-                                           ReferenceScheduler)
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import _COMPACT_MIN_QUEUE, Scheduler
 
-KERNELS = [Scheduler, ReferenceScheduler]
-KERNEL_IDS = ["calendar", "reference"]
+KERNELS = [Scheduler, RaceScheduler]
+# The plain kernel is the reference ordering every race sweep compares
+# its permuted runs against.
+KERNEL_IDS = ["reference", "race"]
 
 
 # ----------------------------------------------------------------------
@@ -235,9 +236,9 @@ def test_pending_events_counts_garbage_until_collected(kernel):
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
 def test_reschedule_earlier_into_stashed_cohort(kernel):
     """Regression for the insertion-below-resume-point hazard: a
-    run(until=...) bound stops the calendar kernel inside a cohort
-    whose consumed prefix held skipped garbage; rescheduling a survivor
-    *earlier* then inserted below the resume point and never fired."""
+    run(until=...) bound stops the loop short of two same-instant
+    timers, one of them cancelled; rescheduling the survivor *earlier*
+    must still fire it, exactly once, at the new time."""
     sched = kernel()
     fired = []
     ghost = sched.call_after(0.1225, fired.append, "ghost")

@@ -1,83 +1,149 @@
-"""Twin-kernel differential harness: calendar queue vs reference heap.
+"""Differential oracle: the scheduler against a sorted-list model.
 
-The production :class:`repro.sim.scheduler.Scheduler` (calendar-queue
-kernel, this PR) and the pre-overhaul binary-heap kernel preserved as
-:class:`repro.sim.reference_scheduler.ReferenceScheduler` promise the
-*same* semantics: events fire in ``(time, tiebreak)`` order with the
-tie-break drawn at schedule/reschedule/rearm time.  This module pins
-that promise three ways:
+:class:`repro.sim.scheduler.Scheduler` promises that events fire in
+``(time, tiebreak)`` order, with the tiebreak drawn when an event is
+scheduled, rescheduled or re-armed.  :class:`ModelScheduler` below
+states that promise in the plainest possible form — one list of
+``(time, tiebreak, handle)`` entries, the minimum pops first, cancels
+and reschedules edit the list eagerly — with none of the kernel's lazy
+reschedules, stale-entry accounting or compaction.  This module pins
+the kernel to the model two ways:
 
-* every golden scenario in :mod:`repro.analysis.scenarios` is replayed
-  on both kernels and the canonical artifacts (delivery traces, metric
-  snapshots) must be **byte-identical**;
 * Hypothesis generates random programs over the full scheduling API —
   ``call_at`` / ``call_after`` / ``call_soon`` / ``post`` /
   ``post_batch`` / ``call_every`` / ``cancel`` / ``reschedule`` /
   ``reschedule_after`` / ``rearm_after`` — executed from *inside*
-  running events, and both
-  kernels must produce identical firing logs, final clocks and event
-  counts;
-* segmented ``run(until=...)`` / ``step()`` drives (which exercise the
-  calendar kernel's partially drained cohort stash) must match the
-  reference at every cut point.
+  running events, and kernel and model must produce identical firing
+  logs, final clocks and event counts;
+* segmented ``run(until=...)`` / ``step()`` drives (which leave stale
+  and lazily rescheduled entries queued across the cut) must match the
+  model at every cut point.
 
-Any future kernel change that alters observable ordering fails here
-first, long before a golden file drifts.
+Any kernel change that alters observable ordering fails here first,
+long before a golden file drifts; ``tests/test_perf_goldens.py`` pins
+the goldens themselves.
 """
 
 from __future__ import annotations
 
-import pytest
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.scenarios import (GOLDEN_SCENARIOS,
-                                      run_failover_scenario)
-from repro.analysis.race import drop_metric_series
-from repro.sim.reference_scheduler import ReferenceScheduler
+from repro.errors import SimulationError
 from repro.sim.scheduler import Scheduler
 
-KERNELS = (Scheduler, ReferenceScheduler)
 
 # ----------------------------------------------------------------------
-# Golden scenarios: byte-identical artifacts on both kernels
+# The model
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
-def test_golden_artifacts_byte_identical_across_kernels(name):
-    """Each golden scenario's canonical artifacts — the same strings the
-    golden-file gate and the race sweep compare — must not depend on
-    which kernel ran the simulation."""
-    builder = GOLDEN_SCENARIOS[name]
-    new_artifacts = dict(builder(None))
-    ref_artifacts = dict(builder(ReferenceScheduler()))
-    assert sorted(new_artifacts) == sorted(ref_artifacts)
-    for key in sorted(new_artifacts):
-        assert new_artifacts[key] == ref_artifacts[key], (
-            f"{name}:{key} differs between kernels")
+class ModelTimer:
+    """Handle with the kernel Timer's observable surface."""
+
+    def __init__(self, sched, fn, args):
+        self.sched = sched
+        self.fn = fn
+        self.args = args
+        self.cancelled = False
+        self.fired = False
+
+    @property
+    def active(self):
+        return not self.cancelled and not self.fired
+
+    def cancel(self):
+        if self.active:
+            self.cancelled = True
+            self.sched._remove(self)
 
 
-def test_failover_world_state_identical_across_kernels():
-    """Beyond the exported artifacts: the raw end-of-run world state —
-    clock, event count, full metric snapshot minus the volatile
-    compaction counter — matches between kernels."""
-    new_world = run_failover_scenario()
-    ref_world = run_failover_scenario(scheduler=ReferenceScheduler())
-    assert new_world.now == ref_world.now
-    assert (new_world.scheduler.events_processed
-            == ref_world.scheduler.events_processed)
-    assert (drop_metric_series(new_world.metrics_json())
-            == drop_metric_series(ref_world.metrics_json()))
+class ModelScheduler:
+    """Sorted-list reference semantics for the scheduler kernel."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._entries = []  # (time, tiebreak, handle)
+        self._tiebreak = itertools.count()
+
+    def _push(self, time, handle):
+        self._entries.append((time, next(self._tiebreak), handle))
+        return handle
+
+    def _remove(self, handle):
+        self._entries = [e for e in self._entries if e[2] is not handle]
+
+    def call_at(self, time, fn, *args):
+        return self._push(time, ModelTimer(self, fn, args))
+
+    def call_after(self, delay, fn, *args):
+        return self.call_at(self.now + delay, fn, *args)
+
+    def call_soon(self, fn, *args):
+        return self.call_at(self.now, fn, *args)
+
+    def post(self, delay, fn, *args):
+        self.call_after(delay, fn, *args)
+
+    def post_batch(self, delay, fn, argss):
+        for args in argss:
+            self.call_after(delay, fn, *args)
+
+    def call_every(self, interval, fn, *args):
+        def tick():
+            self.rearm_after(timer, interval)
+            fn(*args)
+
+        timer = self.call_after(interval, tick)
+        return timer
+
+    def reschedule(self, timer, time):
+        self._remove(timer)
+        return self._push(time, timer)
+
+    def reschedule_after(self, timer, delay):
+        return self.reschedule(timer, self.now + delay)
+
+    def rearm_after(self, timer, delay):
+        timer.fired = False
+        return self._push(self.now + delay, timer)
+
+    def step(self):
+        if not self._entries:
+            return False
+        entry = min(self._entries)
+        self._entries.remove(entry)
+        time, _, timer = entry
+        self.now = time
+        timer.fired = True
+        self.events_processed += 1
+        timer.fn(*timer.args)
+        return True
+
+    def run(self, until=None, max_events=10_000_000):
+        processed = 0
+        while self._entries and processed < max_events:
+            if until is not None and min(self._entries)[0] > until:
+                break
+            self.step()
+            processed += 1
+        if processed >= max_events:
+            raise SimulationError("event budget exhausted")
+        if until is not None and self.now < until:
+            self.now = until
+        return processed
 
 
 # ----------------------------------------------------------------------
 # Random programs over the scheduling API
 # ----------------------------------------------------------------------
 
-# Times/delays on a 2.5ms grid spanning 0–150ms: fine enough to create
-# same-time cohorts, coarse enough to repeatedly cross the calendar
-# kernel's 8ms slot boundaries (the interesting alignments).
+# Times/delays on a 2.5ms grid spanning 0–150ms: coarse enough that
+# most events share their instant with others (same-time cohorts are
+# where tiebreak order is observable).
 _TIMES = st.integers(0, 60).map(lambda k: k * 0.0025)
 _DELAYS = st.integers(0, 40).map(lambda k: k * 0.0025)
 _IDX = st.integers(0, 99)
@@ -165,9 +231,8 @@ def test_random_programs_fire_identically(program):
     """The headline differential: 200 random API programs, identical
     firing order (the log captures every fire/cancel/reschedule/rearm
     with its simulated time), final clock, and event count."""
-    new_result = _run_program(Scheduler, program)
-    ref_result = _run_program(ReferenceScheduler, program)
-    assert new_result == ref_result
+    assert (_run_program(Scheduler, program)
+            == _run_program(ModelScheduler, program))
 
 
 @settings(max_examples=50, deadline=None)
@@ -178,14 +243,14 @@ def test_random_programs_fire_identically(program):
     steps=st.integers(0, 3),
 )
 def test_segmented_until_and_step_drives_match(timers, cuts, steps):
-    """run(until=...) leaves partially drained state behind (the
-    calendar kernel stashes a half-consumed cohort; the heap kernel
-    leaves entries queued).  Driving both kernels through the same cut
-    points — with step() calls and mid-segment cancels thrown in — must
-    keep them in lockstep at every boundary."""
+    """run(until=...) leaves partially drained state behind (stale and
+    lazily rescheduled entries stay queued across the cut).  Driving
+    kernel and model through the same cut points — with step() calls
+    and mid-segment cancels thrown in — must keep them in lockstep at
+    every boundary."""
     bounds = sorted(k * 0.0025 for k in cuts)
     results = []
-    for kernel in KERNELS:
+    for kernel in (Scheduler, ModelScheduler):
         sched = kernel()
         log = []
         handles = [sched.call_after(t, log.append, (t, i))
@@ -214,14 +279,3 @@ def test_segmented_until_and_step_drives_match(timers, cuts, steps):
                              sched.events_processed))
         results.append(observations)
     assert results[0] == results[1]
-
-
-@settings(max_examples=30, deadline=None)
-@given(program=_PROGRAMS)
-def test_narrow_slots_change_nothing(program):
-    """Slot width is a pure performance knob: a calendar kernel with
-    pathologically narrow slots (every event its own bucket, maximal
-    slot-heap traffic) still matches the reference exactly."""
-    narrow = _run_program(lambda: Scheduler(slot_width=0.0001), program)
-    ref = _run_program(ReferenceScheduler, program)
-    assert narrow == ref
