@@ -23,7 +23,9 @@ a fault tolerance domain, layered on the local Totem member.  It:
 Determinism note: delivered messages are shared in-memory across hosts
 by the simulated transport; the only mutation ever performed on one is
 stamping ``timestamp`` with the Totem sequence number, which every
-receiver sets to the same value.
+receiver sets to the same value.  Pure work on a message is memoised on
+it and so done once per multicast: its weight (``size_hint``) and the
+decoded request header of an invocation (``DomainMessage.request``).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from ..core.identifiers import (
     external_operation_id,
 )
 from ..errors import ConfigurationError, TransientError
-from ..iiop.giop import RequestMessage, decode_reply, decode_request, encode_request
+from ..iiop.giop import RequestMessage, decode_reply, encode_request
 from ..orb.dispatch import (
     decode_result,
     encode_arguments,
@@ -98,9 +100,13 @@ class _WaitingNested:
     group_id: int                      # the invoking (local) group
     call: NestedCall
     op_id: OperationId
-    # The multicast-ready nested invocation (None for egress waits).  A
-    # leader-follower promotion re-multicasts it: the dead leader may
-    # have crashed before issuing it, and targets deduplicate anyway.
+    # Trace context of the nested invocation, captured at issue time.
+    trace: Optional[tuple] = None
+    # The nested invocation as multicast (None for egress waits, and for
+    # in-domain ones a leader-follower follower did not put on the
+    # ring).  A promotion re-multicasts it, building it first where it
+    # was never built: the dead leader may have crashed before issuing
+    # it, and targets deduplicate anyway.
     message: Optional[DomainMessage] = None
 
 
@@ -384,7 +390,7 @@ class ReplicationMechanisms(Process):
                 tr[0], "rm.delivery", parent=tr[1], source=self.name,
                 seq=msg.timestamp)
         # Record before executing so re-entrant deliveries see it.
-        request = decode_request(msg.iiop)
+        request = msg.request()
         seen[key] = _InvocationRecord(
             status="executing", response_expected=request.response_expected)
         while len(seen) > DEDUP_TABLE_LIMIT:
@@ -582,43 +588,32 @@ class ReplicationMechanisms(Process):
                 f"voting group {call.target!r} has no live replicas"))
             self._handle_outcome(execution, outcome, original, info, key)
             return
-        request = RequestMessage(
-            request_id=_deterministic_request_id(op_id),
-            response_expected=not nested_op.oneway,
-            object_key=make_object_key(self.domain_name, target_info.group_id),
-            operation=nested_op.name,
-            body=encode_arguments(nested_op, call.args),
-        )
-        message = DomainMessage(
-            kind=MsgKind.INVOCATION,
-            source_group=info.group_id,
-            target_group=target_info.group_id,
-            client_id=UNUSED_CLIENT_ID,
-            op_id=op_id,
-            iiop=encode_request(request),
-        )
         tr = original.trace
+        trace = None
         if tr is not None and self._span_collector.enabled:
             # Nested hop: the child invocation parents under the live
             # rm.execute span, so Figure 6's parent/child structure is
             # visible in the exported tree.  Hop count is unchanged —
             # the call stays inside this domain.
-            message.trace = (tr[0], execution.trace_span or tr[1], tr[2])
+            trace = (tr[0], execution.trace_span or tr[1], tr[2])
         wait_key = (target_info.group_id, info.group_id, op_id)
-        self._waiting_nested[wait_key] = _WaitingNested(
+        waiting = self._waiting_nested[wait_key] = _WaitingNested(
             execution=execution, original=original, nested_op=nested_op,
-            group_id=info.group_id, call=call, op_id=op_id, message=message)
+            group_id=info.group_id, call=call, op_id=op_id, trace=trace)
         self._response_filter.expect(wait_key, votes_needed=votes or 1)
-        # Leader-follower: only the leader puts the nested invocation on
-        # the ring (one copy instead of N); followers derive the same
-        # operation id, register the same expectation, and resume on the
-        # totally-ordered response like everyone else.  Catch-up replays
-        # must still multicast — the cached response they need lives in
-        # the target's dedup table and has to be solicited again.
+        # Leader-follower: only the leader builds and puts the nested
+        # invocation on the ring (one copy instead of N); followers
+        # derive the same operation id, register the same expectation,
+        # and resume on the totally-ordered response like everyone
+        # else.  Catch-up replays must still multicast — the cached
+        # response they need lives in the target's dedup table and has
+        # to be solicited again.
         lf_follower = (info.style.is_semi_active and not execution.replay
                        and info.primary(self.live_hosts) != self.host.name)
         if not lf_follower:
-            self.multicast(message)
+            waiting.message = self._nested_invocation(
+                waiting, target_info.group_id)
+            self.multicast(waiting.message)
             if info.style.is_semi_active and not nested_op.oneway:
                 # The leader's ordering record: followers verify their
                 # locally-derived identifiers against it (Figure 6
@@ -636,6 +631,33 @@ class ReplicationMechanisms(Process):
             self._response_filter.cancel(wait_key)
             outcome = execution.resume(None)
             self._handle_outcome(execution, outcome, original, info, key)
+
+    def _nested_invocation(self, waiting: _WaitingNested,
+                           target_group: int) -> DomainMessage:
+        """The ``INVOCATION`` for an in-domain nested call.
+
+        A pure function of the wait record, so every replica of the
+        invoking group marshals byte-identical requests, including a
+        leader-follower follower that builds it only when a promotion
+        re-multicasts it.  The call's arguments are marshalled here:
+        a servant must not mutate them after yielding the call."""
+        nested_op = waiting.nested_op
+        request = RequestMessage(
+            request_id=_deterministic_request_id(waiting.op_id),
+            response_expected=not nested_op.oneway,
+            object_key=make_object_key(self.domain_name, target_group),
+            operation=nested_op.name,
+            body=encode_arguments(nested_op, waiting.call.args),
+        )
+        return DomainMessage(
+            kind=MsgKind.INVOCATION,
+            source_group=waiting.group_id,
+            target_group=target_group,
+            client_id=UNUSED_CLIENT_ID,
+            op_id=waiting.op_id,
+            iiop=encode_request(request),
+            trace=waiting.trace,
+        )
 
     def _issue_egress(self, execution: Execution, call: NestedCall,
                       original: DomainMessage, info: GroupInfo,
@@ -983,7 +1005,6 @@ class ReplicationMechanisms(Process):
         ))
 
     def _apply_checkpoint(self, msg: DomainMessage) -> None:
-        group_id = msg.data.get("group_id", msg.target_group)
         if msg.target_group not in self.replicas:
             return
         log = self._log_for(msg.target_group)
@@ -1121,7 +1142,7 @@ class ReplicationMechanisms(Process):
         seen = self._invocations_seen.setdefault(info.group_id, {})
         for msg in replay:
             self._lazy_counter("rm.style.catchup_replays").inc()
-            request = decode_request(msg.iiop)
+            request = msg.request()
             key = dedup_key(msg.source_group, msg.client_id, msg.op_id)
             seen[key] = _InvocationRecord(
                 status="executing",
@@ -1207,7 +1228,7 @@ class ReplicationMechanisms(Process):
         for msg in replay:
             self.stats["replays"] += 1
             self._m_replays.inc()
-            request = decode_request(msg.iiop)
+            request = msg.request()
             key = dedup_key(msg.source_group, msg.client_id, msg.op_id)
             # Mark executing (we may have logged it without executing).
             seen = self._invocations_seen.setdefault(info.group_id, {})
@@ -1244,8 +1265,12 @@ class ReplicationMechanisms(Process):
         # back around in total order (_on_response pops them).
         reissued = 0
         for wait_key, waiting in list(self._waiting_nested.items()):
-            if waiting.group_id != info.group_id or waiting.message is None:
+            if (waiting.group_id != info.group_id
+                    or wait_key[0] == EXTERNAL_GROUP):
                 continue
+            if waiting.message is None:
+                waiting.message = self._nested_invocation(waiting,
+                                                          wait_key[0])
             self.multicast(waiting.message)
             if not waiting.nested_op.oneway:
                 self._lazy_counter("rm.style.order.records").inc()

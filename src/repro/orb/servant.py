@@ -8,7 +8,7 @@ Logging-Recovery Mechanisms (paper section 2.2, state transfer):
 * :meth:`set_state` — install previously captured state.
 
 The defaults snapshot every public, non-callable instance attribute
-(deep-copied so a checkpoint is immune to later mutation), which covers
+(detached so a checkpoint is immune to later mutation), which covers
 typical value-holding servants; servants with richer state override the
 pair.
 
@@ -24,11 +24,12 @@ from __future__ import annotations
 import copy
 import pickle
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from .idl import Interface
 
 _IMMUTABLE_SCALARS = (type(None), bool, int, float, str, bytes, complex)
+_EXACT_SCALARS = frozenset(_IMMUTABLE_SCALARS)
 
 
 def _is_immutable(value: Any) -> bool:
@@ -41,17 +42,52 @@ def _is_immutable(value: Any) -> bool:
     return False
 
 
+def _flat_copy(state: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    """Detached copy of a state dict whose values are transitively
+    immutable (shared as-is: no copy can be observed) or are flat
+    containers, or None when the state needs a deep copy.
+
+    A flat container is an exact ``list`` or ``dict`` whose items (and,
+    for a dict, keys) each have exactly one of the immutable scalar
+    types, not a subclass, so a shallow copy detaches it as completely
+    as a pickle round trip would.  Subclasses, nested containers and a
+    container reachable from two names (the round trip keeps the
+    aliasing, a per-name copy would not) are refused.
+    """
+    copied: Dict[str, Any] = {}
+    containers: List[Any] = []
+    for name, value in state.items():
+        kind = type(value)
+        if kind is list:
+            flat = _EXACT_SCALARS.issuperset(map(type, value))
+        elif kind is dict:
+            flat = (_EXACT_SCALARS.issuperset(map(type, value))
+                    and _EXACT_SCALARS.issuperset(map(type, value.values())))
+        else:
+            if not _is_immutable(value):
+                return None
+            copied[name] = value
+            continue
+        if not flat or any(value is seen for seen in containers):
+            return None
+        containers.append(value)
+        copied[name] = value.copy()
+    return copied
+
+
 def _snapshot(state: Dict[str, Any]) -> Dict[str, Any]:
     """Detached copy of a state dict.
 
-    Immutable-only dicts (the common counter/value servant case) are
-    shared as-is — no copy can be observed.  Mutable state is detached
-    via a pickle round-trip, which is substantially faster than
-    ``copy.deepcopy`` for plain data; unpicklable state falls back to
-    deepcopy, preserving the old behaviour exactly.
+    Immutable values (the common counter/value servant case) are shared
+    and flat lists and dicts of scalars (an append-only log, a balance
+    table) are copied shallowly, by :func:`_flat_copy`.  Other mutable
+    state is detached via a pickle round-trip, which is substantially
+    faster than ``copy.deepcopy`` for plain data; unpicklable state
+    falls back to deepcopy, preserving the old behaviour exactly.
     """
-    if all(_is_immutable(value) for value in state.values()):
-        return dict(state)
+    flat = _flat_copy(state)
+    if flat is not None:
+        return flat
     try:
         return pickle.loads(pickle.dumps(state, pickle.HIGHEST_PROTOCOL))
     except Exception:
@@ -90,8 +126,9 @@ class Servant:
         """Snapshot application state for checkpointing/state transfer.
 
         The snapshot is detached from the servant (immune to later
-        mutation), but immutable-only state dicts skip copying
-        entirely and mutable state uses a pickle round-trip instead of
+        mutation).  Immutable-only state dicts skip copying entirely,
+        flat lists and dicts of scalars are copied shallowly, and other
+        mutable state uses a pickle round-trip instead of
         ``copy.deepcopy`` — see :func:`_snapshot`.
         """
         return _snapshot({
