@@ -16,7 +16,8 @@ LAN hops.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Set, Tuple)
 
 from ..obs import (AuditScope, FlightRecorder, MetricsRegistry,
                    SeriesRegistry, TraceCollector)
@@ -182,50 +183,66 @@ class Network:
         Delivery is dropped silently when either endpoint is dead at
         send *or* delivery time, or when a partition separates them —
         matching a real network where packets to dead hosts vanish.
+        A unicast is a one-target cohort of :meth:`_arrive`.
         """
         self.datagrams_sent += 1
         self.bytes_sent += size
         if not src.alive:
             return
-        if not self.can_communicate(src.name, dst.name):
+        src_name = src.name
+        if self._partitions and not self.can_communicate(src_name, dst.name):
             return
-        delay = self.latency_model.latency(src.name, dst.name)
+        delay = self.latency_model.latency(src_name, dst.name)
         # post(): an in-flight datagram is never cancelled or
         # rescheduled, so the delivery needs no Timer handle at all.
         self.scheduler.post(
-            delay, self._arrive, src.name, dst, payload, deliver)
+            delay, self._arrive, src_name, ((dst, deliver),), payload)
 
-    def _arrive(self, src_name: str, dst: Host, payload: Any,
-                deliver: DeliverFn) -> None:
-        """Delivery-time half of :meth:`send` (bound method, no closure)."""
-        if not dst.alive:
-            return
-        if not self.can_communicate(src_name, dst.name):
-            return
-        self.datagrams_delivered += 1
-        deliver(payload)
+    def _arrive(self, src_name: str, cohort: Sequence[Tuple[Host, DeliverFn]],
+                payload: Any) -> None:
+        """Delivery-time half of :meth:`send` and :meth:`broadcast`.
+
+        One scheduler event delivers a whole *cohort*: every target of
+        one send or broadcast that shares one latency.  Targets are
+        offered ``payload`` in cohort order, and each is checked at its
+        own turn — liveness, partition, ``datagrams_delivered`` — so a
+        callback that crashes a later target's host, or installs a
+        partition, drops that target exactly as a separate event would
+        have.  ``src_name`` stays the first argument: it is the FIFO
+        lane the race detector reads off every arrival event.
+        """
+        for dst, deliver in cohort:
+            if not dst.alive:
+                continue
+            if self._partitions and not self.can_communicate(
+                    src_name, dst.name):
+                continue
+            self.datagrams_delivered += 1
+            deliver(payload)
 
     def broadcast(
         self,
         src: Host,
-        targets: List[Tuple[Host, DeliverFn]],
+        targets: Sequence[Tuple[Host, DeliverFn]],
         payload: Any,
         size: int = 0,
     ) -> int:
-        """Offer ``payload`` to every target with per-pair latency, using
-        one ``post_batch`` call per *distinct delay* — one heap entry
-        per target, scheduled in the given order.
+        """Offer ``payload`` to every target with per-pair latency, as
+        one scheduler event per *distinct delay* — in practice two, the
+        sender's loopback and its LAN — the way one transmission on a
+        broadcast medium reaches every station.
 
         Semantically identical to looping ``send`` over ``targets`` in
         the given order: per-target accounting, liveness and partition
         checks at both send and delivery time, and delivery order are
-        all preserved (a batch draws consecutive tiebreaks atomically,
-        so targets sharing a delay fire in the order given — how
-        back-to-back ``send`` calls would have interleaved; distinct
-        delays never tie).  Each target arrives through the same
-        ``_arrive`` entry point as ``send``, so the race detector's
-        per-source delivery lanes see broadcast and unicast traffic
-        identically.  Returns the number of delivery entries scheduled.
+        all preserved.  Such a loop draws consecutive tiebreaks for the
+        targets sharing a delay, so no other event can fire between
+        them; one :meth:`_arrive` event walking the cohort in target
+        order is that same sequence.  Distinct delays never tie.  Only
+        the event granularity differs: ``events_processed`` counts one
+        per cohort, and ``step()``/``run(max_events=)``/``run_until``
+        see the world between cohorts, never between two targets of
+        one cohort.  Returns the number of targets scheduled.
         """
         count = len(targets)
         self.datagrams_sent += count
@@ -234,24 +251,26 @@ class Network:
             return 0
         src_name = src.name
         latency = self.latency_model.latency
+        partitioned = bool(self._partitions)
         # Group reachable targets by delay, preserving target order
-        # within a group and first-occurrence order across groups.
-        groups: Dict[float, List[Tuple[str, Host, Any, DeliverFn]]] = {}
-        for dst, deliver in targets:
-            if not self.can_communicate(src_name, dst.name):
+        # within a cohort and first-occurrence order across cohorts.
+        cohorts: Dict[float, List[Tuple[Host, DeliverFn]]] = {}
+        for target in targets:
+            dst_name = target[0].name
+            if partitioned and not self.can_communicate(src_name, dst_name):
                 continue
-            delay = latency(src_name, dst.name)
-            bucket = groups.get(delay)
-            if bucket is None:
-                groups[delay] = [(src_name, dst, payload, deliver)]
+            delay = latency(src_name, dst_name)
+            cohort = cohorts.get(delay)
+            if cohort is None:
+                cohorts[delay] = [target]
             else:
-                bucket.append((src_name, dst, payload, deliver))
+                cohort.append(target)
 
         scheduled = 0
-        post_batch = self.scheduler.post_batch
-        for delay, argss in groups.items():
-            post_batch(delay, self._arrive, argss)
-            scheduled += len(argss)
+        post = self.scheduler.post
+        for delay, cohort in cohorts.items():
+            post(delay, self._arrive, src_name, cohort, payload)
+            scheduled += len(cohort)
         return scheduled
 
     def host_crashed(self, host: Host) -> None:

@@ -279,6 +279,9 @@ class Scheduler:
 
     @property
     def events_processed(self) -> int:
+        """Events fired so far.  A network broadcast counts once per
+        latency cohort (see ``Network.broadcast``), not once per
+        receiving host."""
         return self._events_processed
 
     def step(self) -> bool:
@@ -352,6 +355,10 @@ class Scheduler:
         rather than silently consuming it; and the event budget raises
         the moment it is fully spent, exactly as ``run(max_events=N)``
         does after its N-th event.
+
+        ``predicate`` is checked between events, and one network arrival
+        event delivers a whole broadcast cohort, so the loop can stop
+        between two cohorts but never between two targets of one.
         """
         if self._running:
             raise SimulationError(

@@ -95,8 +95,9 @@ class TotemMember(Process):
         self.delivered_up_to = 0           # highest contiguously delivered seq
         self.my_aru = 0                    # == delivered_up_to (agreed delivery)
         self.stable_up_to = 0              # highest seq known stable (aru)
-        # reprolint: disable=AUD001 -- listener list, fixed at wiring time
-        self._safe_listeners: List[DeliverFn] = []
+        # Delivery listeners are tuples, replaced on registration, so a
+        # delivery iterates a snapshot without copying it per message.
+        self._safe_listeners: Tuple[DeliverFn, ...] = ()
         self._safe_buffer: Dict[int, RegularMessage] = {}
         self._safe_delivered_up_to = 0
         self._buffer: Dict[int, RegularMessage] = {}   # undelivered, seq > aru
@@ -113,8 +114,7 @@ class TotemMember(Process):
         self._fwd_timer: Optional[Timer] = None   # reused token-hold timer
 
         # Listener callbacks (upper layer: Eternal Replication Mechanisms).
-        # reprolint: disable=AUD001 -- listener list, fixed at wiring time
-        self._deliver_listeners: List[DeliverFn] = []
+        self._deliver_listeners: Tuple[DeliverFn, ...] = ()
         # reprolint: disable=AUD001 -- listener list, fixed at wiring time
         self._membership_listeners: List[MembershipFn] = []
 
@@ -186,7 +186,7 @@ class TotemMember(Process):
 
     def on_deliver(self, fn: DeliverFn) -> None:
         """Register ``fn(seq, sender_name, payload)`` called in total order."""
-        self._deliver_listeners.append(fn)
+        self._deliver_listeners += (fn,)
 
     def on_membership(self, fn: MembershipFn) -> None:
         """Register ``fn(members, ring_id)`` called at each installation."""
@@ -197,7 +197,7 @@ class TotemMember(Process):
         delivery: called only once the message is known stable, i.e.
         received by every current ring member (seq <= aru).  Safe
         delivery lags agreed delivery by roughly one token rotation."""
-        self._safe_listeners.append(fn)
+        self._safe_listeners += (fn,)
 
     def multicast(self, payload: Any, size: int = 64) -> None:
         """Queue ``payload`` for totally-ordered broadcast to the ring."""
@@ -238,27 +238,46 @@ class TotemMember(Process):
     def _on_regular(self, msg: RegularMessage) -> None:
         if msg.ring_id != self.ring_id:
             return
-        if msg.seq <= self.delivered_up_to or msg.seq in self._buffer:
+        seq = msg.seq
+        if seq <= self.delivered_up_to:
             return  # duplicate (retransmission already received)
-        self._buffer[msg.seq] = msg
-        self._store[msg.seq] = msg
+        buffer = self._buffer
+        if buffer:
+            if seq in buffer:
+                return  # duplicate of a message still held back
+        elif seq == self.delivered_up_to + 1:
+            # In order with nothing held back: deliver directly, without
+            # a round trip through the reorder buffer.
+            self._store[seq] = msg
+            self._deliver(seq, msg)
+            return
+        buffer[seq] = msg
+        self._store[seq] = msg
         self._try_deliver()
 
     def _try_deliver(self) -> None:
-        while self.delivered_up_to + 1 in self._buffer:
+        buffer = self._buffer
+        while buffer:
             seq = self.delivered_up_to + 1
-            msg = self._buffer.pop(seq)
-            self.delivered_up_to = seq
-            self.my_aru = seq
+            msg = buffer.pop(seq, None)
+            if msg is None or not self._deliver(seq, msg):
+                return
+
+    def _deliver(self, seq: int, msg: RegularMessage) -> bool:
+        """Agreed-deliver ``msg`` as ``seq``; False when a listener
+        crashed this host, which stops delivery."""
+        self.delivered_up_to = seq
+        self.my_aru = seq
+        if self._gap_age:
             self._gap_age.pop(seq, None)
-            self.stats["delivered"] += 1
-            self._m_delivered.inc()
-            for fn in list(self._deliver_listeners):
-                fn(msg.seq, msg.sender, msg.payload)
-            if self._safe_listeners:
-                self._safe_buffer[msg.seq] = msg
-            if not self.alive:
-                return  # a listener crashed this host
+        self.stats["delivered"] += 1
+        self._m_delivered.inc()
+        sender, payload = msg.sender, msg.payload
+        for fn in self._deliver_listeners:
+            fn(seq, sender, payload)
+        if self._safe_listeners:
+            self._safe_buffer[seq] = msg
+        return self.alive
 
     # ------------------------------------------------------------------
     # Operational: token handling
@@ -409,7 +428,7 @@ class TotemMember(Process):
                 break
             msg = self._safe_buffer.pop(seq)
             self._safe_delivered_up_to = seq
-            for fn in list(self._safe_listeners):
+            for fn in self._safe_listeners:
                 fn(msg.seq, msg.sender, msg.payload)
 
     def _reset_loss_timer(self) -> None:

@@ -1,9 +1,9 @@
 """Datagram transport and member registry for one Totem domain.
 
 Totem runs over a LAN broadcast medium; here the broadcast is modelled
-as one datagram per registered member, fanned out by the network in a
-batched delivery event per distinct latency, which makes every
-broadcast *atomic with respect to crashes*: a message is either offered
+as one datagram per registered member, fanned out by the network as one
+delivery event per distinct latency, which makes every broadcast
+*atomic with respect to crashes*: a message is either offered
 to all live members or (if the sender was already dead) to none.  This
 matches the paper's fault model, where message loss comes from
 processor failure and partition, not per-link drops.
@@ -11,9 +11,10 @@ processor failure and partition, not per-link drops.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from ..sim.network import Network
+from ..sim.host import Host
+from ..sim.network import DeliverFn, Network
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .member import TotemMember
@@ -26,6 +27,9 @@ class TotemTransport:
         self.network = network
         self.domain_name = domain_name
         self._members: Dict[str, "TotemMember"] = {}
+        # ``(host, receive)`` per member in registration order: the
+        # broadcast target list, rebuilt only when membership changes.
+        self._targets: List[Tuple[Host, DeliverFn]] = []
         self.broadcasts = 0
         self.datagrams = 0
         self._m_broadcasts = network.metrics.counter("totem.broadcasts")
@@ -36,9 +40,15 @@ class TotemTransport:
 
     def register(self, member: "TotemMember") -> None:
         self._members[member.name] = member
+        self._rebuild_targets()
 
     def deregister(self, member_name: str) -> None:
-        self._members.pop(member_name, None)
+        if self._members.pop(member_name, None) is not None:
+            self._rebuild_targets()
+
+    def _rebuild_targets(self) -> None:
+        self._targets = [(member.host, member.receive)
+                         for member in self._members.values()]
 
     def member_names(self) -> list:
         return sorted(self._members)
@@ -64,23 +74,20 @@ class TotemTransport:
                   size: int = 64) -> None:
         """Send ``message`` to every registered member (including sender).
 
-        Fan-out is batched: the network hands the whole per-latency
-        delivery cohort to ``Scheduler.post_batch`` (one call per
+        The network delivers the broadcast as one scheduler event per
         distinct latency — in practice two, the sender's loopback and
-        the LAN group), which pushes one heap entry per member.
-        Members are offered the datagram
-        in deterministic registration order, exactly as the per-member
-        ``send`` loop used to interleave them.
-        ``totem.broadcast.batched_deliveries`` counts the per-target
-        delivery entries scheduled through the batched path.
+        the LAN cohort — and each event offers the datagram to its
+        members in registration order, exactly as a per-member ``send``
+        loop would have interleaved them.
+        ``totem.broadcast.batched_deliveries`` counts the per-member
+        deliveries those cohorts carry.
         """
         self.broadcasts += 1
         self._m_broadcasts.inc()
         self._m_bytes.inc(size)
-        targets = [(target.host, target.receive)
-                   for target in self._members.values()]
+        targets = self._targets
         self.datagrams += len(targets)
         self._m_datagrams.inc(len(targets))
-        events = self.network.broadcast(sender.host, targets, message,
-                                        size=size)
-        self._m_batched.inc(events)
+        scheduled = self.network.broadcast(sender.host, targets, message,
+                                           size=size)
+        self._m_batched.inc(scheduled)
