@@ -665,7 +665,8 @@ class FunctionImportRule(LintRule):
 
     A function-local import runs its lookup on every call.  On a
     handler that sees every delivery or every request (a gateway
-    observing each Totem delivery, an ORB dispatching each message)
+    observing each gateway-group delivery, an ORB dispatching each
+    message)
     that is paid per message, for a value that never changes.  Imports
     belong at module scope; the rare cold-path layering guard (a module
     that must not load another at import time) carries a justified

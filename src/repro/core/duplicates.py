@@ -11,6 +11,11 @@ majority of replicas, masking value faults of a minority.
 the (source group, client id, operation id) deduplication key, and
 remembers recently delivered operations so that late duplicates — even
 ones arriving after delivery — are still recognised and counted.
+
+A first-wins expectation (``votes_needed`` 1, the common case) is held
+as a bare ``None`` entry: the first copy offered is delivered, so there
+are no vote counts or responders to keep.  Only voting expectations
+allocate a :class:`_Pending`.
 """
 
 from __future__ import annotations
@@ -27,6 +32,10 @@ class _Pending:
     responders: Set[Hashable] = field(default_factory=set)
 
 
+# offer()'s lookup default: no expectation is registered for the key.
+_UNEXPECTED = _Pending(votes_needed=0)
+
+
 class DuplicateSuppressor:
     """First-wins or majority-vote response delivery with dedup."""
 
@@ -37,7 +46,8 @@ class DuplicateSuppressor:
     UNEXPECTED = "unexpected"  # no expectation registered for this key
 
     def __init__(self, remember_delivered: int = 100_000) -> None:
-        self._pending: Dict[Hashable, _Pending] = {}
+        # key -> _Pending for a voting expectation, None for first-wins.
+        self._pending: Dict[Hashable, Optional[_Pending]] = {}
         self._delivered: "OrderedDict[Hashable, bool]" = OrderedDict()
         self._remember = remember_delivered
         # reprolint: disable=AUD001 -- fixed key set, bounded by construction
@@ -58,7 +68,8 @@ class DuplicateSuppressor:
         """
         if key in self._delivered or key in self._pending:
             return
-        self._pending[key] = _Pending(votes_needed=max(1, votes_needed))
+        self._pending[key] = (_Pending(votes_needed=votes_needed)
+                              if votes_needed > 1 else None)
 
     def cancel(self, key: Hashable) -> None:
         self._pending.pop(key, None)
@@ -69,14 +80,32 @@ class DuplicateSuppressor:
     def was_delivered(self, key: Hashable) -> bool:
         return key in self._delivered
 
+    def suppress_delivered(self, key: Hashable) -> bool:
+        """Count and suppress a copy of an already-delivered ``key``.
+
+        The receiver's fast path: one membership test, and on a hit the
+        same ``duplicates_suppressed`` count :meth:`offer` would make.
+        Returns False (counting nothing) when ``key`` is not delivered;
+        the caller then offers the copy."""
+        if key in self._delivered:
+            self.stats["duplicates_suppressed"] += 1
+            return True
+        return False
+
     def offer(self, key: Hashable, payload: bytes,
               responder: Optional[Hashable] = None) -> Tuple[str, Optional[bytes]]:
         """Offer one response copy; returns (verdict, payload-to-deliver)."""
         if key in self._delivered:
             self.stats["duplicates_suppressed"] += 1
             return (DuplicateSuppressor.DUPLICATE, None)
-        pending = self._pending.get(key)
+        pending = self._pending.get(key, _UNEXPECTED)
         if pending is None:
+            # First-wins: the first copy offered is delivered.
+            self.stats["votes_counted"] += 1
+            self._mark_delivered(key)
+            self.stats["delivered"] += 1
+            return (DuplicateSuppressor.DELIVER, payload)
+        if pending is _UNEXPECTED:
             self.stats["unexpected"] += 1
             return (DuplicateSuppressor.UNEXPECTED, None)
         if responder is not None:
@@ -143,7 +172,7 @@ class DuplicateSuppressor:
         ready = []
         for key in [k for k in self._pending if predicate(k)]:
             pending = self._pending[key]
-            if pending.votes_needed <= target:
+            if pending is None or pending.votes_needed <= target:
                 continue
             pending.votes_needed = target
             for payload, count in pending.counts.items():

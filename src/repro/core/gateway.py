@@ -772,8 +772,12 @@ class Gateway(Process):
     # ==================================================================
 
     def observe_delivered(self, msg: "DomainMessage") -> None:
-        """Called by the co-located Replication Mechanisms for every
-        delivered message; the gateway reacts to the kinds it owns."""
+        """The gateway's single entry point for Totem deliveries.
+
+        The co-located Replication Mechanisms call it only for the five
+        cases the gateway owns (routing fixed in
+        ``ReplicationMechanisms.attach_gateway``); any other message
+        handed in directly is ignored."""
         kind = msg.kind
         if kind is MsgKind.RESPONSE and msg.target_group == GATEWAY_GROUP:
             self._on_domain_response(msg)
@@ -809,14 +813,25 @@ class Gateway(Process):
 
     def _on_domain_response(self, msg: "DomainMessage") -> None:
         self._m_resp_received.inc()
-        spans = self._span_collector
-        tr = msg.trace if spans.enabled else None
-        if tr is not None and msg._trace_order:
-            # First gateway to observe the agreed response ends the
-            # responder's ordering-wait span (end() is first-close-wins,
-            # so the remaining gateways' observations are no-ops).
-            spans.end(msg._trace_order, seq=msg.timestamp)
         filter_key = (msg.source_group, msg.client_id, msg.op_id)
+        spans = self._span_collector
+        if not spans.enabled:
+            if self._filter.suppress_delivered(filter_key):
+                # Another replica's copy of a response already handled
+                # here: the common case at every gateway of a mirrored
+                # group under active replication.
+                self.stats["duplicates_suppressed"] += 1
+                self._m_dup_suppressed.inc()
+                return
+            tr = None
+        else:
+            tr = msg.trace
+            if tr is not None and msg._trace_order:
+                # First gateway to observe the agreed response ends the
+                # responder's ordering-wait span (end() is
+                # first-close-wins, so the remaining gateways'
+                # observations are no-ops).
+                spans.end(msg._trace_order, seq=msg.timestamp)
         verdict, payload = self._filter.offer(
             filter_key, msg.iiop, responder=msg.data.get("responder"))
         if tr is not None:
@@ -913,14 +928,16 @@ class Gateway(Process):
         cache_key = (msg.client_id, msg.op_id)
         response_expected = msg.data.get("response_expected", True)
         info = self.rm.registry.get(msg.data["target_group"])
-        if (response_expected and info is not None
-                and self._votes_for(info) is None):
-            # A two-way mirror for a voting target with zero live
-            # replicas, delivered after the membership sweep already
-            # failed the request: reconstructing a pending record (or a
-            # filter expectation) here would pin state that no response
-            # and no later sweep will ever resolve.
-            return
+        votes = 1
+        if response_expected and info is not None:
+            votes = self._votes_for(info)
+            if votes is None:
+                # A two-way mirror for a voting target with zero live
+                # replicas, delivered after the membership sweep
+                # already failed the request: reconstructing a pending
+                # record (or a filter expectation) here would pin state
+                # that no response and no later sweep will ever resolve.
+                return
         if cache_key not in self._pending and cache_key not in self._cache:
             tr = msg.trace
             record = _PendingRequest(
@@ -943,7 +960,6 @@ class Gateway(Process):
             # The record is dropped when the forwarded INVOCATION is
             # observed delivered, or by TTL if it never is.
             return
-        votes = (self._votes_for(info) or 1) if info is not None else 1
         self._filter.expect((msg.data["target_group"], msg.client_id,
                              msg.op_id), votes_needed=votes)
 

@@ -30,7 +30,7 @@ the operation identifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 # Parent timestamp used for operations that enter the domain from outside
 # (no parent invocation message exists).
@@ -45,9 +45,14 @@ UNUSED_CLIENT_ID: int = 0xFFFFFFFF
 ClientId = Union[int, str]
 
 
-@dataclass(frozen=True)
-class OperationId:
-    """(T_parent_inv, S_child): uniquely names an invocation/response pair."""
+class OperationId(NamedTuple):
+    """(T_parent_inv, S_child): uniquely names an invocation/response pair.
+
+    A named tuple, so the dedup keys built from it hash and compare in
+    C; the hash is ``hash((parent_ts, child_seq))``, the same value a
+    frozen dataclass of these two fields has.  As with any tuple,
+    ``OperationId(0, 5) == (0, 5)``; op ids are never mixed with plain
+    tuples in one table."""
 
     parent_ts: int
     child_seq: int

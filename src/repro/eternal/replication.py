@@ -168,7 +168,6 @@ class ReplicationMechanisms(Process):
         # order; on promotion the survivor resends the cached replies.
         self._lf_unacked: Dict[int, Dict[Tuple, DomainMessage]] = {}
 
-        self._gateway = None               # attached repro.core.gateway.Gateway
         self._egress = None                # attached cross-domain egress client
         # reprolint: disable=AUD001 -- listener list, fixed at wiring time
         self._membership_listeners: List[Callable[[Tuple[str, ...]], None]] = []
@@ -231,6 +230,10 @@ class ReplicationMechanisms(Process):
             MsgKind.REGISTRY_SYNC: self._on_registry_sync_delivered,
             MsgKind.REGISTRY_SYNC_REQUEST: self._on_registry_sync_request,
         }
+        # The table _dispatch reads: the kind table itself, until a
+        # gateway is attached and attach_gateway builds this host's own.
+        self._handlers: Dict[MsgKind, Callable[[DomainMessage], None]] = (
+            self._kind_dispatch)
 
         self._register_audit()
 
@@ -255,8 +258,50 @@ class ReplicationMechanisms(Process):
     # ==================================================================
 
     def attach_gateway(self, gateway: Any) -> None:
-        """Attach the co-located gateway (receives gateway-group traffic)."""
-        self._gateway = gateway
+        """Attach the co-located gateway and fix this host's dispatch.
+
+        The gateway owns five delivery cases: GATEWAY_MIRROR and
+        CLIENT_GONE (gateway only), and — after the RM's own handler —
+        an INVOCATION from the gateway group, a RESPONSE to it, and
+        STYLE_SWITCH.  Those route to ``gateway.observe_delivered``,
+        looked up per call so a wrapper installed on the class or the
+        instance is honoured; the other kinds never enter the gateway.
+        An INVOCATION for a group with no replica here skips
+        :meth:`_on_invocation`, which would return at once."""
+        replicas, lf_unacked = self.replicas, self._lf_unacked
+        on_invocation = self._on_invocation
+        on_response = self._on_response
+        apply_style_switch = self._apply_style_switch
+
+        def invocation(msg: DomainMessage) -> None:
+            if msg.target_group in replicas:
+                on_invocation(msg)
+            if msg.source_group == GATEWAY_GROUP:
+                gateway.observe_delivered(msg)
+
+        def response(msg: DomainMessage) -> None:
+            if msg.target_group != GATEWAY_GROUP:
+                on_response(msg)
+                return
+            if lf_unacked:
+                # Only a withheld leader-follower copy needs the RM here.
+                on_response(msg)
+            gateway.observe_delivered(msg)
+
+        def style_switch(msg: DomainMessage) -> None:
+            apply_style_switch(msg)
+            gateway.observe_delivered(msg)
+
+        def gateway_only(msg: DomainMessage) -> None:
+            gateway.observe_delivered(msg)
+
+        handlers = dict(self._kind_dispatch)
+        handlers[MsgKind.INVOCATION] = invocation
+        handlers[MsgKind.RESPONSE] = response
+        handlers[MsgKind.STYLE_SWITCH] = style_switch
+        handlers[MsgKind.GATEWAY_MIRROR] = gateway_only
+        handlers[MsgKind.CLIENT_GONE] = gateway_only
+        self._handlers = handlers
 
     def attach_egress(self, egress: Any) -> None:
         """Attach the cross-domain egress client (section "Fig. 1" path)."""
@@ -336,14 +381,10 @@ class ReplicationMechanisms(Process):
             else:
                 self._presync_buffer.append(payload)
             return
-        self._dispatch(payload)
+        self._handlers[payload.kind](payload)  # _dispatch, inlined
 
     def _dispatch(self, payload: DomainMessage) -> None:
-        self._kind_dispatch[payload.kind](payload)
-        # Gateways observe their own group's forwarded invocations and all
-        # gateway-coordination traffic.
-        if self._gateway is not None:
-            self._gateway.observe_delivered(payload)
+        self._handlers[payload.kind](payload)
 
     # ==================================================================
     # Invocations
@@ -713,7 +754,7 @@ class ReplicationMechanisms(Process):
             unacked.pop(
                 dedup_key(msg.target_group, msg.client_id, msg.op_id), None)
         if msg.target_group == GATEWAY_GROUP:
-            return  # handled by the attached gateway via observe_delivered
+            return  # handled by the attached gateway (attach_gateway)
         if msg._trace_order:
             # Close the response's ordering-wait span at delivery (first
             # receiver wins; every receiver observes the same instant).
@@ -847,8 +888,9 @@ class ReplicationMechanisms(Process):
             fn(msg.data["group_id"], msg.data["host"], msg.data["version"])
 
     def _on_gateway_kind(self, msg: DomainMessage) -> None:
-        """GATEWAY_MIRROR / CLIENT_GONE: owned by the attached gateway,
-        which observes every delivery through :meth:`_dispatch`."""
+        """GATEWAY_MIRROR / CLIENT_GONE: owned by the gateway.  A host
+        with an attached gateway routes them to it (see
+        :meth:`attach_gateway`); elsewhere they are ignored."""
 
     def _on_registry_sync_delivered(self, msg: DomainMessage) -> None:
         """Incumbents already hold the directory (joiners apply the

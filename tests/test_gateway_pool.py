@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import CircuitBreaker, FtClientLayer, GatewayPool, Orb
+from repro import CircuitBreaker, FtClientLayer, GatewayPool, Orb, World
 from repro.core import gateway_pool
 from repro.core.gateway_pool import ring_hash
-from repro.eternal.naming import make_object_key
+from repro.eternal.messages import MsgKind
+from repro.eternal.naming import GATEWAY_GROUP, make_object_key
 from repro.iiop import (
     GiopFramer,
     LocateStatus,
@@ -512,3 +513,125 @@ def test_mux_clients_share_one_connection(world):
     members = sum(len(ids) for ids in gateway._conn_members.values())
     assert members == clients
     assert set(replica_counts(domain, group).values()) == {clients}
+
+
+# ----------------------------------------------------------------------
+# Mirrored responses at farm shape: counter partition and takeover
+# ----------------------------------------------------------------------
+
+_RESPONSE_COUNTERS = ("gateway.resp.received", "gateway.dup.suppressed",
+                      "gateway.resp.unexpected", "gateway.resp.vote_pending",
+                      "gateway.resp.delivered", "gateway.resp.unroutable")
+
+
+@pytest.mark.parametrize("trace_spans", [False, True],
+                         ids=["spans-off", "spans-on"])
+def test_farm_response_partition_and_mirrored_takeover(trace_spans):
+    """A 4-gateway pool, multiplexed enhanced clients and an ACTIVE
+    3-replica counter: every gateway handles every response multicast
+    to the gateway group, and each gateway's share of the world's
+    response counters partitions exactly (docs/OBSERVABILITY.md) and
+    agrees with its ``stats``.  Then the owning gateway dies after the
+    response reached its peers; the client's reissue is answered from
+    a peer's cache, executing nothing again."""
+    world = World(seed=11, trace_spans=trace_spans)
+    domain, pool = make_pool(world, size=4, admission_window=8,
+                             admission_queue_limit=64)
+    group = make_counter_group(domain)
+    domain.await_ready(group)
+    metrics = world.metrics
+    gateways = pool.gateways
+
+    shares = {gw.name: dict.fromkeys(_RESPONSE_COUNTERS, 0)
+              for gw in gateways}
+
+    def attribute(gateway):
+        handle = gateway._on_domain_response
+        share = shares[gateway.name]
+
+        def counted(msg):
+            before = [metrics.value(n) for n in _RESPONSE_COUNTERS]
+            handle(msg)
+            for name, old in zip(_RESPONSE_COUNTERS, before):
+                share[name] += metrics.value(name) - old
+
+        gateway._on_domain_response = counted
+
+    for gateway in gateways:
+        attribute(gateway)
+
+    to_gateways = []
+    for rm in domain.rms.values():
+        def counting(message, send=rm.multicast):
+            if (message.kind is MsgKind.RESPONSE
+                    and message.target_group == GATEWAY_GROUP):
+                to_gateways.append(message)
+            send(message)
+        rm.multicast = counting
+
+    clients = 24
+    promises = []
+    for i in range(clients):
+        _, stub, _ = pool_client(world, domain, pool, group, f"farm/{i}",
+                                 host_name=f"farmhost{i % 2}",
+                                 multiplexed=True)
+        promises.append(stub.call("increment", 1))
+    world.run_until_done(promises, timeout=600)
+    assert sorted(p.result() for p in promises) == list(
+        range(1, clients + 1))
+    world.run(until=world.now + 1.0)
+
+    assert len(to_gateways) == 3 * clients
+    for gateway in gateways:
+        share, stats = shares[gateway.name], gateway.stats
+        assert share["gateway.resp.received"] == len(to_gateways)
+        assert share["gateway.resp.received"] == sum(
+            share[name] for name in _RESPONSE_COUNTERS[1:])
+        assert share["gateway.dup.suppressed"] == (
+            stats["duplicates_suppressed"])
+        assert share["gateway.dup.suppressed"] == (
+            gateway._filter.stats["duplicates_suppressed"])
+        assert share["gateway.resp.delivered"] == stats["responses_delivered"]
+        assert share["gateway.resp.unroutable"] == (
+            stats["responses_unroutable"])
+        assert share["gateway.resp.unexpected"] == (
+            stats["responses_unexpected"])
+        # ACTIVE: the first copy wins, the other two are duplicates.
+        assert share["gateway.dup.suppressed"] == 2 * clients
+    assert metrics.value("gateway.resp.received") == (
+        len(gateways) * len(to_gateways))
+    assert metrics.value("gateway.resp.delivered") == clients
+    if trace_spans:
+        verdicts = world.trace_collector.select(name="gateway.response")
+        assert len(verdicts) == len(gateways) * len(to_gateways)
+
+    # Takeover: the owner dies once the response has reached its peers.
+    uid = "farm/late"
+    _, stub, layer = pool_client(world, domain, pool, group, uid,
+                                 host_name="farmhost0", multiplexed=True)
+    owner = pool.hash_owner(f"{uid}#1")
+    peers = [gw for gw in gateways if gw is not owner]
+    seen = {}
+
+    def crash_after_peers(msg):
+        if seen:
+            return
+        seen["executed"] = metrics.value("eternal.invocations.executed")
+
+        def crash():
+            seen["peers_cached"] = all(
+                (msg.client_id, msg.op_id) in gw._cache for gw in peers)
+            world.faults.crash_now(owner.host.name)
+
+        world.scheduler.call_after(0.0, crash)
+
+    owner._on_domain_response = crash_after_peers
+    replays = sum(gw.stats["cache_replays"] for gw in peers)
+    assert world.await_promise(stub.call("increment", 1),
+                               timeout=240) == clients + 1
+    world.run(until=world.now + 1.0)
+    assert seen["peers_cached"]
+    assert layer.failover_log
+    assert sum(gw.stats["cache_replays"] for gw in peers) == replays + 1
+    assert metrics.value("eternal.invocations.executed") == seen["executed"]
+    assert set(replica_counts(domain, group).values()) == {clients + 1}

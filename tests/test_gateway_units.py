@@ -4,9 +4,11 @@ import pytest
 
 from repro import ReplicationStyle, World
 from repro.core import UNUSED_CLIENT_ID
+from repro.core.gateway import Gateway
 from repro.core.identifiers import external_operation_id
 from repro.eternal.messages import DomainMessage, MsgKind
 from repro.eternal.naming import GATEWAY_GROUP
+from repro.eternal.replication import ReplicationMechanisms
 
 from tests.helpers import external_client, make_counter_group, make_domain
 
@@ -134,3 +136,122 @@ def test_stopping_gateway_closes_listener(world):
                       lambda exc: state.setdefault("err", exc))
     world.scheduler.run_until(lambda: state)
     assert "err" in state
+
+
+# ----------------------------------------------------------------------
+# Delivery routing at a gateway host (fixed in attach_gateway)
+# ----------------------------------------------------------------------
+
+_RM_HANDLERS = {
+    MsgKind.INVOCATION: "_on_invocation",
+    MsgKind.RESPONSE: "_on_response",
+    MsgKind.GROUP_ANNOUNCE: "_apply_group_announce",
+    MsgKind.GROUP_REMOVE: "_apply_group_remove",
+    MsgKind.ADD_REPLICA: "_apply_add_replica",
+    MsgKind.REMOVE_REPLICA: "_apply_remove_replica",
+    MsgKind.REPLICA_READY: "_on_replica_ready_delivered",
+    MsgKind.CHECKPOINT: "_apply_checkpoint",
+    MsgKind.STATE_UPDATE: "_apply_state_update",
+    MsgKind.STATE_TRANSFER: "_apply_state_transfer",
+    MsgKind.GATEWAY_MIRROR: "_on_gateway_kind",
+    MsgKind.CLIENT_GONE: "_on_gateway_kind",
+    MsgKind.ORDER_RECORD: "_apply_order_record",
+    MsgKind.STYLE_SWITCH: "_apply_style_switch",
+    MsgKind.REGISTRY_SYNC: "_on_registry_sync_delivered",
+    MsgKind.REGISTRY_SYNC_REQUEST: "_on_registry_sync_request",
+}
+
+
+def _probe_messages(app_group):
+    """One message of every kind, plus the two application-traffic
+    variants the gateway does not own: (label, message)."""
+    probes = []
+    for kind in MsgKind:
+        source = target = app_group
+        if kind is MsgKind.INVOCATION:
+            source = GATEWAY_GROUP
+        elif kind is MsgKind.RESPONSE:
+            target = GATEWAY_GROUP
+        probes.append((kind.name, DomainMessage(
+            kind=kind, source_group=source, target_group=target)))
+    probes.append(("INVOCATION from app", DomainMessage(
+        kind=MsgKind.INVOCATION, source_group=app_group,
+        target_group=app_group)))
+    probes.append(("RESPONSE to app", DomainMessage(
+        kind=MsgKind.RESPONSE, source_group=app_group,
+        target_group=app_group)))
+    return probes
+
+
+# Gateway-owned cases, each with the RM handler that runs first (or
+# None: the RM has nothing to do for it at a host holding no replica).
+_GATEWAY_OWNED = {
+    "INVOCATION": None,
+    "RESPONSE": None,
+    "STYLE_SWITCH": "_apply_style_switch",
+    "GATEWAY_MIRROR": None,
+    "CLIENT_GONE": None,
+}
+
+
+def test_gateway_host_routes_each_kind_once(monkeypatch):
+    """At a gateway host holding no replica, observe_delivered is
+    entered for exactly the five gateway-owned cases; every other kind
+    reaches only its RM handler (an INVOCATION for a group not hosted
+    here reaches neither), live and when replayed after presync."""
+    probe = {"rm": None, "gateway": None}
+    log = []
+
+    def spy(cls, name, owner_key):
+        original = getattr(cls, name)
+
+        def wrapper(self, msg, *args, **kwargs):
+            if self is probe[owner_key]:
+                log.append(name)
+                return None
+            return original(self, msg, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for name in sorted(set(_RM_HANDLERS.values())):
+        spy(ReplicationMechanisms, name, "rm")
+    spy(Gateway, "observe_delivered", "gateway")
+
+    world = World(seed=7)
+    domain = make_domain(world, gateways=1)
+    group = make_counter_group(domain)
+    domain.await_ready(group)
+    gateway = domain.gateways[0]
+    rm = gateway.rm
+    assert group.group_id not in rm.replicas
+    probe.update(rm=rm, gateway=gateway)
+
+    def expected(label):
+        if label in _GATEWAY_OWNED:
+            first = _GATEWAY_OWNED[label]
+            return ([first] if first else []) + ["observe_delivered"]
+        if label == "INVOCATION from app":
+            return []
+        if label == "RESPONSE to app":
+            return ["_on_response"]
+        return [_RM_HANDLERS[MsgKind[label]]]
+
+    probes = _probe_messages(group.group_id)
+    for seq, (label, msg) in enumerate(probes, start=1):
+        log.clear()
+        rm._on_deliver(seq, "peer", msg)
+        assert log == expected(label), label
+
+    # Presync: everything but the snapshot itself is buffered, then
+    # replayed through _dispatch when the snapshot applies.
+    rm.synced = False
+    buffered = [(label, msg) for label, msg in probes
+                if msg.kind is not MsgKind.REGISTRY_SYNC]
+    log.clear()
+    for seq, (_, msg) in enumerate(buffered, start=100):
+        rm._on_deliver(seq, "peer", msg)
+    assert log == []
+    rm._apply_registry_sync(DomainMessage(
+        kind=MsgKind.REGISTRY_SYNC, source_group=0, target_group=0,
+        data={"groups": []}))
+    assert log == [name for label, _ in buffered for name in expected(label)]

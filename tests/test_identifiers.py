@@ -1,5 +1,6 @@
 """Tests for Figure 6 invocation/response/operation identifiers."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,6 +12,10 @@ from repro.core import (
     dedup_key,
     external_operation_id,
 )
+from repro.eternal.messages import DomainMessage, MsgKind, _value_weight
+from repro.eternal.replication import ReplicationMechanisms
+
+from tests.helpers import external_client, make_counter_group, make_domain
 
 
 def test_figure6_worked_example():
@@ -84,3 +89,84 @@ def test_operation_ids_unique_across_parent_children_property(pairs):
     the pair is globally unique — the paper's uniqueness argument."""
     ids = {OperationId(ts, seq) for ts, seq in pairs}
     assert len(ids) == len(pairs)
+
+
+# ----------------------------------------------------------------------
+# OperationId is a named tuple: pins on what must not move
+# ----------------------------------------------------------------------
+
+@given(st.integers(-2**63, 2**63), st.integers(-2**63, 2**63))
+def test_operation_id_hashes_like_its_field_tuple(parent_ts, child_seq):
+    """The same hash a frozen dataclass of the two fields had, so no
+    dict or set holding dedup keys changes its iteration order."""
+    assert hash(OperationId(parent_ts, child_seq)) == hash(
+        (parent_ts, child_seq))
+
+
+def test_operation_id_repr_and_str_are_unchanged():
+    op = OperationId(100, 3)
+    assert repr(op) == "OperationId(parent_ts=100, child_seq=3)"
+    assert str(op) == "op(100,3)"
+    assert f"{op}" == "op(100,3)"
+
+
+def test_operation_id_is_immutable():
+    op = OperationId(1, 2)
+    with pytest.raises(AttributeError):
+        op.parent_ts = 5
+    with pytest.raises(AttributeError):
+        op.extra = 1
+
+
+def _op_ids_in_values(value):
+    """Op ids anywhere in a control-data value (dict keys excluded)."""
+    if isinstance(value, OperationId):
+        return 1
+    if isinstance(value, dict):
+        return sum(_op_ids_in_values(v) for v in value.values())
+    if isinstance(value, (list, tuple, set)):
+        return sum(_op_ids_in_values(v) for v in value)
+    return 0
+
+
+def test_state_transfer_with_dedup_keys_keeps_its_size_hint(world,
+                                                            monkeypatch):
+    """A STATE_TRANSFER carries the dedup table, keyed by (source
+    group, client id, op id).  Dict keys are not weighed, so making op
+    ids tuples leaves the message's weight alone; and no control data
+    carries an op id as a value, where a tuple would weigh more."""
+    sent = []
+    original = ReplicationMechanisms.multicast
+
+    def record(rm, message):
+        sent.append(message)
+        return original(rm, message)
+
+    monkeypatch.setattr(ReplicationMechanisms, "multicast", record)
+    domain = make_domain(world, num_hosts=4, gateways=1)
+    group = make_counter_group(domain, replicas=2)
+    domain.await_ready(group)
+    _, stub, _ = external_client(world, domain, group, enhanced=True)
+    for _ in range(3):
+        world.await_promise(stub.call("increment", 1))
+    spare = [h for h in domain.replica_host_names
+             if h not in group.info().placement][0]
+    domain.coordinator_rm().multicast(DomainMessage(
+        kind=MsgKind.ADD_REPLICA, source_group=0, target_group=0,
+        data={"group_id": group.group_id, "host": spare}))
+    world.run(until=world.now + 1.0)
+    assert domain.rms[spare].replicas[group.group_id].servant.count == 3
+
+    transfers = [m for m in sent if m.kind is MsgKind.STATE_TRANSFER]
+    assert len(transfers) == 1
+    data = transfers[0].data
+    dedup = data["dedup"]
+    assert len(dedup) == 3
+    assert all(isinstance(key[2], OperationId) for key in dedup)
+    # 40 header bytes; each record value weighs 16, keys nothing.
+    expected = 40 + sum(_value_weight(v) for k, v in data.items()
+                        if k != "dedup") + 8 + 16 * len(dedup)
+    assert transfers[0].size_hint() == expected
+    assert world.metrics.histogram("fault.state_transfer.bytes").max == (
+        expected)
+    assert sum(_op_ids_in_values(m.data) for m in sent) == 0
